@@ -53,15 +53,7 @@ class _Engine:
         self.m = len(self.edges)
         self.ordered = ordered
         self.edge_set = frozenset(self.edges)
-        inc: list[list] = [[] for _ in range(n)]
-        for ei, e in enumerate(self.edges):
-            if ordered:
-                for pos, v in enumerate(e):
-                    inc[v].append((ei, pos))
-            else:
-                for v in e:
-                    inc[v].append(ei)
-        self.inc = [tuple(x) for x in inc]
+        self.inc = _incidence(n, self.edges, ordered)
         if pinned:
             base = [1 if v in pinned else 0 for v in range(n)]
         else:
@@ -126,7 +118,6 @@ class _Engine:
 
     def _extract(self, dom, cod) -> Optional[Perm]:
         """Bijection matching discrete colors; verified before acceptance."""
-        n = self.n
         by_color = {c: v for v, c in enumerate(cod[0])}
         perm = tuple(by_color[c] for c in dom[0])
         if self._preserves(perm):
@@ -294,6 +285,16 @@ class _Engine:
         return (self.n, tuple(relabeled))
 
 
+def _incidence(n: int, edges: Sequence[tuple[int, ...]], ordered: bool) -> list[tuple]:
+    """Per vertex, its incident edge indices, as (edge, position) pairs
+    when `ordered`."""
+    inc: list[list] = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for pos, v in enumerate(e):
+            inc[v].append((ei, pos) if ordered else ei)
+    return [tuple(x) for x in inc]
+
+
 def _orbit_of(point: int, gens: Sequence[Perm]) -> set[int]:
     orbit = {point}
     queue = [point]
@@ -422,37 +423,45 @@ def structure_engine(
 def _twin_swap(
     n: int,
     edges: Sequence[tuple[int, ...]],
+    ordered: bool,
     stabilize: Optional[Sequence[int]] = None,
 ) -> Optional[Perm]:
-    """Swap of two vertices with identical incident edge sets, if any.
+    """Swap of two vertices with identical incidence lists, if any.
 
-    Such a swap fixes every edge, so it is always an involution.  With a
-    stabilized set, both vertices must be on the same side of it.
+    Such a swap fixes every edge, so it is always an involution.  With
+    `ordered`, each (edge, position) slot holds one point, so only two
+    isolated points can match.  With a stabilized set, both vertices
+    must be on the same side of it.
     """
     pinned = frozenset(stabilize) if stabilize is not None else frozenset()
-    inc: dict[int, list[int]] = {v: [] for v in range(n)}
-    for ei, e in enumerate(edges):
-        for v in set(e):
-            inc[v].append(ei)
-    groups: dict = {}
-    for v in range(n):
-        key = (tuple(inc[v]), v in pinned)
-        prev = groups.get(key)
-        if prev is not None:
+    first: dict = {}
+    for v, around in enumerate(_incidence(n, edges, ordered)):
+        prev = first.setdefault((around, v in pinned), v)
+        if prev != v:
             images = list(range(n))
             images[prev], images[v] = v, prev
             return tuple(images)
-        groups[key] = v
     return None
+
+
+def _nonidentity(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
+    """A non-identity automorphism of the raw structure, or None."""
+    return _twin_swap(n, edges, ordered, stabilize) or structure_engine(
+        n, edges, ordered, stabilize
+    ).find_nonidentity()
+
+
+def _involution(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
+    """An order-two automorphism of the raw structure, or None."""
+    return _twin_swap(n, edges, ordered, stabilize) or structure_engine(
+        n, edges, ordered, stabilize
+    ).find_involution()
 
 
 def find_nonidentity_automorphism(
     h: Hypergraph, stabilize: Optional[Sequence[int]] = None
 ) -> Optional[Perm]:
-    twin = _twin_swap(h.n, h.edges, stabilize)
-    if twin is not None:
-        return twin
-    return structure_engine(h.n, h.edges, False, stabilize).find_nonidentity()
+    return _nonidentity(h.n, h.edges, False, stabilize)
 
 
 def is_asymmetric(h: Hypergraph) -> bool:
@@ -464,10 +473,7 @@ def has_involution(
     h: Hypergraph, stabilize: Optional[Sequence[int]] = None
 ) -> Optional[Perm]:
     """An order-two automorphism if one exists, else None."""
-    twin = _twin_swap(h.n, h.edges, stabilize)
-    if twin is not None:
-        return twin
-    return structure_engine(h.n, h.edges, False, stabilize).find_involution()
+    return _involution(h.n, h.edges, False, stabilize)
 
 
 def automorphisms(
@@ -492,8 +498,8 @@ def _assemble(
     order = group_order(gens, n)
     witness = None
     if order % 2 == 0:
-        if not ordered:
-            witness = _twin_swap(n, edges, stabilize)
+        if not ordered:  # relations report the engine's involution
+            witness = _twin_swap(n, edges, False, stabilize)
         if witness is None:
             witness = engine.find_involution()
         if witness is None:

@@ -6,7 +6,8 @@ lexicographically, so equal hypergraphs compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .perms import Perm
@@ -102,44 +103,41 @@ def set_complement(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, edges, k=h.n - h.k)
 
 
+def _restrict(
+    n: int, edges: Iterable[tuple[int, ...]], keep: Iterable[int]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The edges lying inside `keep`, with the kept vertices reindexed
+    order-preservingly onto 0..len(keep)-1.  Edges may be sets or
+    ordered tuples; sorted input stays sorted."""
+    keep = sorted(set(keep))
+    if keep and (keep[0] < 0 or keep[-1] >= n):
+        raise ValueError("vertex out of range")
+    index = {v: i for i, v in enumerate(keep)}
+    return len(keep), [tuple(index[v] for v in e) for e in edges if index.keys() >= set(e)]
+
+
 def induced_sub(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """Induced sub-hypergraph: keeps edges entirely inside `vertices`.
 
-    Vertices are reindexed order-preservingly; `sub_vertex_map` recovers
-    the original label of each new index.
+    Vertices are reindexed order-preservingly, so new index i is the
+    i-th smallest kept vertex.
     """
-    keep = sorted(set(vertices))
-    if keep and (keep[0] < 0 or keep[-1] >= h.n):
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(keep)}
-    keep_set = set(keep)
-    edges = [
-        tuple(index[v] for v in e) for e in h.edges if keep_set.issuperset(e)
-    ]
-    return Hypergraph(len(keep), edges, k=h.k if h.k is not None else None)
-
-
-def sub_vertex_map(vertices: Iterable[int]) -> tuple[int, ...]:
-    """Original label of each reindexed vertex of an induced/spec subgraph."""
-    return tuple(sorted(set(vertices)))
+    n, edges = _restrict(h.n, h.edges, vertices)
+    return Hypergraph(n, edges, k=h.k)
 
 
 def sub_from_spec(h: Hypergraph, spec: SubgraphSpec) -> Hypergraph:
     """Sub-hypergraph with chosen vertices and a subset of their edges."""
-    keep = spec.vertices
-    if keep and (keep[0] < 0 or keep[-1] >= h.n):
-        raise ValueError("vertex out of range")
-    keep_set = set(keep)
-    index = {v: i for i, v in enumerate(keep)}
-    edges = []
+    keep = set(spec.vertices)
+    chosen = []
     for ei in spec.edge_indices:
         if not 0 <= ei < h.m:
             raise ValueError(f"edge index {ei} out of range")
-        e = h.edges[ei]
-        if not keep_set.issuperset(e):
-            raise ValueError(f"edge {e!r} not inside kept vertices")
-        edges.append(tuple(index[v] for v in e))
-    return Hypergraph(len(keep), edges, k=h.k if h.k is not None else None)
+        if not keep.issuperset(h.edges[ei]):
+            raise ValueError(f"edge {h.edges[ei]!r} not inside kept vertices")
+        chosen.append(h.edges[ei])
+    n, edges = _restrict(h.n, chosen, keep)
+    return Hypergraph(n, edges, k=h.k)
 
 
 def support(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
@@ -164,41 +162,52 @@ def is_automorphism(h: Hypergraph, p: Sequence[int]) -> bool:
 
 # HGF text format: header "n m k" (k=0 when no uniformity tag), one line
 # per edge with ascending vertex indices, "#" comment lines, LF endings.
+# REL (relations.py) shares the layout with "n m arity" and ordered rows.
 
 
-def to_hgf(h: Hypergraph) -> str:
-    lines = [f"{h.n} {h.m} {h.k if h.k is not None else 0}"]
-    for e in h.edges:
-        lines.append(" ".join(str(v) for v in e))
+def _write_rows(header: Sequence[int], rows: Iterable[Sequence[int]]) -> str:
+    lines = [" ".join(map(str, header))]
+    lines.extend(" ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def parse_hgf(text: str) -> Hypergraph:
-    rows = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ValueError("empty HGF document")
-    header = rows[0].split()
+def _read_rows(text: str, fmt: str, row_name: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Header `n m k` and the m rows of an HGF or REL document as
+    (n, k, rows); repeated rows are rejected."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {fmt} document")
+    header = lines[0].split()
     if len(header) != 3:
-        raise ValueError(f"bad HGF header: {rows[0]!r}")
+        raise ValueError(f"bad {fmt} header: {lines[0]!r}")
     try:
         n, m, k = (int(x) for x in header)
     except ValueError as exc:
-        raise ValueError(f"bad HGF header: {rows[0]!r}") from exc
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
+        raise ValueError(f"bad {fmt} header: {lines[0]!r}") from exc
+    if len(lines) - 1 != m:
+        raise ValueError(f"expected {m} {row_name} lines, found {len(lines) - 1}")
+    rows: dict[tuple[int, ...], None] = {}
+    for line in lines[1:]:
         try:
-            e = tuple(int(x) for x in row.split())
+            row = tuple(int(x) for x in line.split())
         except ValueError as exc:
-            raise ValueError(f"bad edge line: {row!r}") from exc
+            raise ValueError(f"bad {row_name} line: {line!r}") from exc
+        if row in rows:
+            raise ValueError(f"duplicate {row_name} line: {line!r}")
+        rows[row] = None
+    return n, k, list(rows)
+
+
+def to_hgf(h: Hypergraph) -> str:
+    return _write_rows((h.n, h.m, h.k or 0), h.edges)
+
+
+def parse_hgf(text: str) -> Hypergraph:
+    n, k, edges = _read_rows(text, "HGF", "edge")
+    for e in edges:
         if any(a >= b for a, b in zip(e, e[1:])):
-            raise ValueError(f"edge indices not ascending: {row!r}")
-        edges.append(e)
+            raise ValueError(f"edge indices not ascending: {' '.join(map(str, e))!r}")
     return Hypergraph(n, edges, k=k if k > 0 else None)
 
 
@@ -208,7 +217,8 @@ def to_hgf_stream(graphs: Iterable[Hypergraph]) -> str:
 
 
 def parse_hgf_stream(text: str) -> list[Hypergraph]:
-    docs = text.split("---")
+    """Split on whole `---` lines only, so comments may contain `---`."""
+    docs = re.split(r"^[ \t]*---[ \t]*$", text, flags=re.MULTILINE)
     return [parse_hgf(doc) for doc in docs if doc.strip()]
 
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .autom import AutomResult, _assemble, brute_force_structure, structure_engine
-from .constructions import _build_gkt_circ
+from .autom import AutomResult, _assemble, _nonidentity, brute_force_structure, structure_engine
+from .constructions import build_family
+from .hypergraph import _read_rows, _restrict, _write_rows
 from .perms import Perm
-from .report import VerificationReport, perm_line
+from .report import VerificationReport
+from .verify import _verify
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,9 @@ def is_asymmetric_rel(r: RelationalStructure) -> bool:
 
 
 def find_nonidentity_automorphism_rel(r: RelationalStructure) -> Optional[Perm]:
-    return structure_engine(r.n, r.tuples, ordered=True).find_nonidentity()
+    """A non-identity automorphism, or None.  Two isolated points are
+    swapped without a search."""
+    return _nonidentity(r.n, r.tuples, ordered=True)
 
 
 def canonical_key_rel(r: RelationalStructure) -> bytes:
@@ -70,17 +73,8 @@ def multiplicity(r: RelationalStructure) -> int:
 
 
 def induced_rel(r: RelationalStructure, vertices: Iterable[int]) -> RelationalStructure:
-    keep = sorted(set(vertices))
-    if keep and (keep[0] < 0 or keep[-1] >= r.n):
-        raise ValueError("vertex out of range")
-    keep_set = set(keep)
-    index = {v: i for i, v in enumerate(keep)}
-    kept = [
-        tuple(index[v] for v in t)
-        for t in r.tuples
-        if keep_set.issuperset(t)
-    ]
-    return RelationalStructure(len(keep), r.arity, kept)
+    n, kept = _restrict(r.n, r.tuples, vertices)
+    return RelationalStructure(n, r.arity, kept)
 
 
 def cyclic_closure(r: RelationalStructure) -> RelationalStructure:
@@ -107,8 +101,8 @@ def _anchored_ring_tuples(t: int):
     """Arity-3 tuple pairs read off the anchored ring on 3t+1 hubs: each
     chain edge becomes two tuples that agree on the designated third
     coordinate (the next ring vertex; the anchor for the extra edge)."""
-    base, labels = _build_gkt_circ(3, t)
-    index = {lab: i for i, lab in enumerate(labels)}
+    base = build_family("gkt-circ", k=3, t=t)
+    index = {lab: i for i, lab in enumerate(base.labels)}
     ring = 3 * t
     tuples = []
     for i in range(ring):
@@ -118,7 +112,7 @@ def _anchored_ring_tuples(t: int):
     u0, v0, x = index["u0"], index["v0_0"], index["x"]
     tuples.append((v0, u0, x))
     tuples.append((u0, v0, x))
-    return base.n, tuples, labels
+    return base.graph.n, tuples, base.labels
 
 
 def gen_r3t(t: int) -> RelationalStructure:
@@ -132,8 +126,7 @@ def gen_r3t(t: int) -> RelationalStructure:
 
 
 def r3t_labels(t: int) -> tuple[str, ...]:
-    _, _, labels = _anchored_ring_tuples(t)
-    return tuple(labels)
+    return _anchored_ring_tuples(t)[2]
 
 
 def _build_hcirc(k: int, t: int):
@@ -168,37 +161,13 @@ def hcirc_labels(k: int, t: int) -> tuple[str, ...]:
 
 def verify_minimal_asymmetric_rel(r: RelationalStructure) -> VerificationReport:
     """Asymmetric, with every induced substructure on 1 < n' < n points
-    symmetric.  Induced substructures only; always exhaustive."""
-    start = time.perf_counter()
-    checked = 0
-    witness = ""
-    holds = True
-    bad = find_nonidentity_automorphism_rel(r)
-    if bad is not None:
-        holds = False
-        witness = to_rel(r) + perm_line(bad)
-    else:
-        n = r.n
-        for mask in range(1, 1 << n):
-            verts = [v for v in range(n) if mask >> v & 1]
-            if not 1 < len(verts) < n:
-                continue
-            checked += 1
-            sub = induced_rel(r, verts)
-            if is_asymmetric_rel(sub):
-                holds = False
-                witness = "# vertices " + " ".join(map(str, verts)) + "\n" + to_rel(sub)
-                break
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        property_name="minimal-asymmetric-rel",
-        holds=holds,
-        mode="exhaustive",
-        samples=checked,
-        seed=0,
-        elapsed_ms=elapsed,
-        witness_text=witness,
-    )
+    symmetric.  Induced substructures only; always exhaustive, and
+    refused beyond 20 points."""
+
+    def render(n, tuples):
+        return to_rel(RelationalStructure(n, r.arity, tuples))
+
+    return _verify("minimal-asymmetric-rel", r.n, r.tuples, True, "induced", render)
 
 
 def is_critical_asymmetric(r: RelationalStructure) -> tuple[bool, Optional[int]]:
@@ -226,33 +195,9 @@ def is_critical_asymmetric(r: RelationalStructure) -> tuple[bool, Optional[int]]
 
 
 def to_rel(r: RelationalStructure) -> str:
-    lines = [f"{r.n} {r.m} {r.arity}"]
-    for t in r.tuples:
-        lines.append(" ".join(str(v) for v in t))
-    return "\n".join(lines) + "\n"
+    return _write_rows((r.n, r.m, r.arity), r.tuples)
 
 
 def parse_rel(text: str) -> RelationalStructure:
-    rows = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ValueError("empty REL document")
-    header = rows[0].split()
-    if len(header) != 3:
-        raise ValueError(f"bad REL header: {rows[0]!r}")
-    try:
-        n, m, k = (int(x) for x in header)
-    except ValueError as exc:
-        raise ValueError(f"bad REL header: {rows[0]!r}") from exc
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} tuple lines, found {len(rows) - 1}")
-    tuples = []
-    for row in rows[1:]:
-        try:
-            tuples.append(tuple(int(x) for x in row.split()))
-        except ValueError as exc:
-            raise ValueError(f"bad tuple line: {row!r}") from exc
+    n, k, tuples = _read_rows(text, "REL", "tuple")
     return RelationalStructure(n, k, tuples)

@@ -22,7 +22,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .autom import (
-    automorphisms,
     canonical_form,
     canonical_key,
     find_nonidentity_automorphism,
@@ -192,11 +191,15 @@ def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
     index = {e: i for i, e in enumerate(edges)}
     total = 1 << c
     if math.factorial(n) <= _FULL_SIEVE_LIMIT:
-        masks = np.arange(total, dtype=np.int64)
-        orbit_min = masks.copy()
+        # Blocks of _CHUNK masks stay under numpy's 4 MiB huge-page
+        # threshold, so peak memory does not hinge on page alignment.
+        blocks = [np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64) for lo in range(0, total, _CHUNK)]
+        orbit_min = [block.copy() for block in blocks]
         for p in _sieve_perms(n, full=True):
-            np.minimum(orbit_min, _Remap(p, edges, index).apply(masks), out=orbit_min)
-        rep_masks = masks[orbit_min == masks].tolist()
+            remap = _Remap(p, edges, index)
+            for block, least in zip(blocks, orbit_min):
+                np.minimum(least, remap.apply(block), out=least)
+        rep_masks = np.concatenate([b[least == b] for b, least in zip(blocks, orbit_min)]).tolist()
     else:
         seen: set[bytes] = set()
         rep_masks = []
@@ -242,12 +245,12 @@ def _edge_orbit(
 def _augmentation_accepts(child: Hypergraph, added: tuple[int, ...]) -> bool:
     """Canonical-deletion test: the new edge must lie in the same
     automorphism orbit as the edge with the largest canonical image."""
-    _, sigma = structure_engine(child.n, child.edges, False).canonical()
+    engine = structure_engine(child.n, child.edges, False)
+    _, sigma = engine.canonical()
     deletion = max(child.edges, key=lambda e: tuple(sorted(sigma[v] for v in e)))
     if deletion == added:
         return True
-    gens = automorphisms(child).generators
-    return deletion in _edge_orbit(added, gens)
+    return deletion in _edge_orbit(added, engine.generators())
 
 
 def classes_by_edge_count(
@@ -268,7 +271,7 @@ def classes_by_edge_count(
     while m < top:
         grown: list[Hypergraph] = []
         for parent in current:
-            gens = automorphisms(parent).generators
+            gens = structure_engine(n, parent.edges, False).generators()
             present = parent.edge_set()
             candidates = [e for e in all_edges if e not in present]
             visited: set[tuple[int, ...]] = set()

@@ -1,10 +1,16 @@
-"""Minimality verifiers for asymmetric hypergraphs.
+"""Minimality verifiers for asymmetric hypergraphs and relations.
 
-The subgraph scans run over edge subsets and use the isolated-vertex
-reduction: appending two or more isolated vertices always yields a
-swap, and appending exactly one changes nothing (the lone isolated
-vertex is fixed by every automorphism).  Each edge subset therefore
-stands for all its vertex extensions, and only its support matters.
+Every verifier is one scan over the bitmasks of a raw `(n, edges,
+ordered)` structure.  A row of `_KINDS` says whether a mask picks edges
+or vertices, which picked sub-structures are in scope, and what each of
+those must have: any non-identity automorphism, or an involution.
+
+Edge-subset scans use the isolated-vertex reduction: appending two or
+more isolated vertices always yields a swap, and appending exactly one
+changes nothing (the lone isolated vertex is fixed by every
+automorphism).  Each edge subset therefore stands for all its vertex
+extensions, and only its support matters.  Vertex-subset scans pick
+induced sub-structures.
 """
 
 from __future__ import annotations
@@ -12,95 +18,102 @@ from __future__ import annotations
 import random
 import time
 from multiprocessing import Pool
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .autom import find_nonidentity_automorphism, has_involution, is_asymmetric
+from .autom import _involution, _nonidentity, find_nonidentity_automorphism
 from .errors import ResourceGuardError
-from .hypergraph import (
-    Hypergraph,
-    SubgraphSpec,
-    induced_sub,
-    sub_from_spec,
-    support,
-    to_hgf,
-)
+from .hypergraph import Hypergraph, _restrict, to_hgf
 from .report import VerificationReport, perm_line
 
 _EXHAUSTIVE_EDGE_LIMIT = 20
 _PARALLEL_THRESHOLD = 1 << 14
 
 
-def _support_graph(h: Hypergraph, mask: int) -> tuple[Hypergraph, tuple[int, ...]]:
-    picked = [i for i in range(h.m) if mask >> i & 1]
-    verts = support(h, picked)
-    spec = SubgraphSpec(verts, picked)
-    return sub_from_spec(h, spec), verts
+class _Kind(NamedTuple):
+    induced: bool  # masks pick vertices (induced sub-structures), else edges
+    spanning: bool  # besides supports on 1 < n' < n, proper ones on all n are in scope
+    involution: bool  # in scope, an involution is required, else any symmetry
 
 
-def _strong_violation(h: Hypergraph, mask: int) -> bool:
-    """Does this edge subset induce a non-trivial asymmetric subgraph?"""
-    sub, verts = _support_graph(h, mask)
-    if not 1 < len(verts) < h.n:
-        return False
-    return is_asymmetric(sub)
-
-
-def _involution_violation(h: Hypergraph, mask: int) -> bool:
-    """Does this edge subset stand for a proper subgraph without any
-    involution?"""
-    sub, verts = _support_graph(h, mask)
-    if mask == (1 << h.m) - 1 and len(verts) == h.n:
-        return False  # the whole graph, out of scope
-    if len(verts) < 2:
-        return False
-    return has_involution(sub) is None
-
-
-def _involution_violation_nontrivial(h: Hypergraph, mask: int) -> bool:
-    """Like the proper-subgraph check, but only subgraphs with
-    1 < |X'| < n count; spanning supports admit none."""
-    sub, verts = _support_graph(h, mask)
-    if len(verts) < 2 or len(verts) >= h.n:
-        return False
-    return has_involution(sub) is None
-
-
-_CHECKS = {
-    "strong": _strong_violation,
-    "invfree": _involution_violation,
-    "invfree-nontrivial": _involution_violation_nontrivial,
+_KINDS = {
+    "strong": _Kind(induced=False, spanning=False, involution=False),
+    "invfree": _Kind(induced=False, spanning=True, involution=True),
+    "invfree-nontrivial": _Kind(induced=False, spanning=False, involution=True),
+    "induced": _Kind(induced=True, spanning=False, involution=False),
 }
 
 
+def _bits(mask: int, width: int) -> list[int]:
+    return [i for i in range(width) if mask >> i & 1]
+
+
+class _Subsets:
+    """The sub-structures of one raw structure, picked by bitmasks."""
+
+    def __init__(self, n: int, edges, ordered: bool, kind: str):
+        self.n, self.edges, self.ordered, self.name = n, tuple(edges), ordered, kind
+        self.kind = _KINDS[kind]
+        self.bits = n if self.kind.induced else len(self.edges)
+        self.full = (1 << self.bits) - 1
+        self.edge_bits = [sum(1 << v for v in set(e)) for e in self.edges]
+        self.symmetry = _involution if self.kind.involution else _nonidentity
+
+    def pick(self, mask: int) -> tuple[int, list]:
+        """Vertex mask and edges of the sub-structure, before reindexing."""
+        if self.kind.induced:
+            return mask, [e for e, b in zip(self.edges, self.edge_bits) if b & mask == b]
+        picked = _bits(mask, self.bits)
+        vmask = 0
+        for i in picked:
+            vmask |= self.edge_bits[i]
+        return vmask, [self.edges[i] for i in picked]
+
+    def sub(self, vmask: int, edges: list) -> tuple[list[int], int, list]:
+        """Original vertices, then the reindexed (n, edges) of a pick."""
+        verts = _bits(vmask, self.n)
+        return (verts, *_restrict(self.n, edges, verts))
+
+    def test(self, mask: int) -> Optional[bool]:
+        """None when the mask is out of scope, else whether its
+        sub-structure lacks the symmetry the kind requires."""
+        vmask, edges = self.pick(mask)
+        size = vmask.bit_count()
+        if size < 2 or (size == self.n and not (self.kind.spanning and mask != self.full)):
+            return None
+        _, n, sub_edges = self.sub(vmask, edges)
+        return self.symmetry(n, sub_edges, self.ordered) is None
+
+
 def _scan_chunk(args) -> tuple[Optional[int], int]:
-    n, edges, k, kind, start, end = args
-    h = Hypergraph(n, edges, k=k)
-    check = _CHECKS[kind]
+    """First violating mask in [start, end), plus the masks checked.
+
+    Every non-empty edge subset counts as checked (2^m - 1 in all), as
+    it stands for its vertex extensions; vertex subsets count only in
+    scope (2^n - n - 2 in all).
+    """
+    n, edges, ordered, kind, start, end = args
+    subsets = _Subsets(n, edges, ordered, kind)
     checked = 0
-    for mask in range(start, end):
-        if mask == 0:
-            continue
-        checked += 1
-        if check(h, mask):
+    for mask in range(max(start, 1), end):
+        bad = subsets.test(mask)
+        if bad is not None or not subsets.kind.induced:
+            checked += 1
+        if bad:
             return mask, checked
     return None, checked
 
 
-def _scan_edge_subsets(
-    h: Hypergraph, kind: str, workers: int
-) -> tuple[Optional[int], int]:
-    """First violating edge-subset mask in ascending order, plus the
-    number of subsets checked before stopping."""
-    total = 1 << h.m
+def _scan(subsets: _Subsets, workers: int) -> tuple[Optional[int], int]:
+    """First violating mask in ascending order, plus the number of
+    masks checked before stopping."""
+    total = subsets.full + 1
+    task = (subsets.n, subsets.edges, subsets.ordered, subsets.name)
     if workers <= 1 or total < _PARALLEL_THRESHOLD:
-        return _scan_chunk((h.n, h.edges, h.k, kind, 0, total))
+        return _scan_chunk(task + (0, total))
     chunk = max(1, total // (workers * 64))
-    tasks = [
-        (h.n, h.edges, h.k, kind, lo, min(lo + chunk, total))
-        for lo in range(0, total, chunk)
-    ]
     checked = 0
     with Pool(workers) as pool:
+        tasks = [task + (lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         for bad, part in pool.imap(_scan_chunk, tasks):
             checked += part
             if bad is not None:
@@ -109,76 +122,67 @@ def _scan_edge_subsets(
     return None, checked
 
 
-def _shrink_edge_mask(h: Hypergraph, mask: int, kind: str) -> int:
-    """Greedily drop edges while the violation persists."""
-    check = _CHECKS[kind]
+def _sample(
+    subsets: _Subsets, samples: int, seed: int, stratified: bool
+) -> tuple[Optional[int], int]:
+    """First violating mask among `samples` seeded draws in scope, plus
+    the number of draws checked; out-of-scope draws are redrawn."""
+    rng = random.Random(seed)
+    checked = misses = 0
+    while checked < samples:
+        if stratified:
+            picked = rng.sample(range(subsets.bits), rng.randrange(1, subsets.bits))
+            mask = sum(1 << i for i in picked)
+        else:
+            mask = rng.getrandbits(subsets.bits)
+        bad = subsets.test(mask)
+        if bad is None:
+            misses += 1
+            if misses > 10000 + 10 * samples:
+                raise ValueError("cannot draw valid subgraph samples")
+            continue
+        checked += 1
+        if bad:
+            return mask, checked
+    return None, checked
+
+
+def _shrink(subsets: _Subsets, mask: int) -> int:
+    """Greedily drop bits while the violation persists.  An exhaustive
+    ascending scan already checked every sub-mask of its first
+    violation, so only sampled violations can shrink."""
     improved = True
     while improved:
         improved = False
-        for i in range(h.m):
-            if not mask >> i & 1:
-                continue
+        for i in _bits(mask, subsets.bits):
             candidate = mask & ~(1 << i)
-            if candidate and check(h, candidate):
+            if subsets.test(candidate):
                 mask = candidate
                 improved = True
     return mask
 
 
-def _witness_block(h: Hypergraph, mask: int) -> str:
-    sub, verts = _support_graph(h, mask)
-    picked = [i for i in range(h.m) if mask >> i & 1]
-    lines = [
-        "# vertices " + " ".join(map(str, verts)),
-        "# edges " + " ".join(map(str, picked)),
-    ]
-    return "\n".join(lines) + "\n" + to_hgf(sub)
-
-
-def _sample_masks(h: Hypergraph, kind: str, samples: int, seed: int, stratified: bool):
-    rng = random.Random(seed)
-    produced = 0
-    misses = 0
-    full = (1 << h.m) - 1
-    while produced < samples:
-        if stratified:
-            size = rng.randrange(1, h.m)
-            picked = rng.sample(range(h.m), size)
-            mask = 0
-            for i in picked:
-                mask |= 1 << i
-        else:
-            mask = rng.getrandbits(h.m)
-        verts = support(h, [i for i in range(h.m) if mask >> i & 1])
-        if kind == "strong":
-            ok = mask != 0 and 1 < len(verts) < h.n
-        elif kind == "invfree-nontrivial":
-            ok = mask != 0 and 1 < len(verts) < h.n
-        else:
-            ok = mask != 0 and not (mask == full and len(verts) == h.n)
-        if not ok:
-            misses += 1
-            if misses > 10000 + 10 * samples:
-                raise ValueError("cannot draw valid subgraph samples")
-            continue
-        produced += 1
-        yield mask
-
-
-def _verify_subgraphs(
-    h: Hypergraph,
+def _verify(
     property_name: str,
+    n: int,
+    edges,
+    ordered: bool,
     kind: str,
-    self_check,
-    mode: str,
-    samples: int,
-    seed: Optional[int],
-    workers: int,
-    stratified: bool,
+    render: Callable[[int, list], str],
+    mode: str = "exhaustive",
+    samples: int = 0,
+    seed: Optional[int] = None,
+    workers: int = 1,
+    stratified: bool = False,
 ) -> VerificationReport:
+    """Self-check the whole structure, then scan its sub-structures;
+    `render(n, edges)` serializes a structure for the witness."""
     start = time.perf_counter()
+    subsets = _Subsets(n, edges, ordered, kind)
+    if subsets.kind.induced and n > _EXHAUSTIVE_EDGE_LIMIT:
+        raise ResourceGuardError(f"induced-subgraph scan over 2^{n} vertex subsets refused")
     if mode == "auto":
-        mode = "exhaustive" if h.m <= _EXHAUSTIVE_EDGE_LIMIT else "sampled"
+        mode = "exhaustive" if subsets.bits <= _EXHAUSTIVE_EDGE_LIMIT else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and seed is None:
@@ -191,25 +195,29 @@ def _verify_subgraphs(
             property_name, holds, mode, checked, used_seed, elapsed, witness
         )
 
-    bad_perm = self_check(h)
+    bad_perm = subsets.symmetry(n, subsets.edges, ordered)
     if bad_perm is not None:
-        return finish(False, 0, to_hgf(h) + perm_line(bad_perm))
-
+        return finish(False, 0, render(n, subsets.edges) + perm_line(bad_perm))
     if mode == "exhaustive":
-        bad, checked = _scan_edge_subsets(h, kind, workers)
+        bad, checked = _scan(subsets, workers)
+    else:
+        bad, checked = _sample(subsets, samples, used_seed, stratified)
         if bad is not None:
-            bad = _shrink_edge_mask(h, bad, kind)
-            return finish(False, checked, _witness_block(h, bad))
+            bad = _shrink(subsets, bad)
+    if bad is None:
         return finish(True, checked)
+    verts, sub_n, sub_edges = subsets.sub(*subsets.pick(bad))
+    lines = ["# vertices " + " ".join(map(str, verts))]
+    if not subsets.kind.induced:
+        lines.append("# edges " + " ".join(map(str, _bits(bad, subsets.bits))))
+    return finish(False, checked, "\n".join(lines) + "\n" + render(sub_n, sub_edges))
 
-    checked = 0
-    check = _CHECKS[kind]
-    for mask in _sample_masks(h, kind, samples, used_seed, stratified):
-        checked += 1
-        if check(h, mask):
-            mask = _shrink_edge_mask(h, mask, kind)
-            return finish(False, checked, _witness_block(h, mask))
-    return finish(True, checked)
+
+def _verify_hypergraph(h: Hypergraph, property_name: str, kind: str, *options):
+    def render(n, edges):
+        return to_hgf(Hypergraph(n, edges, k=h.k))
+
+    return _verify(property_name, h.n, h.edges, False, kind, render, *options)
 
 
 def verify_asymmetric(h: Hypergraph) -> VerificationReport:
@@ -238,16 +246,8 @@ def verify_strongly_minimal(
     and are skipped.  Sampled mode draws edge subsets at p=1/2 each,
     resampling invalid draws.
     """
-    return _verify_subgraphs(
-        h,
-        "strong-minimal",
-        "strong",
-        find_nonidentity_automorphism,
-        mode,
-        samples,
-        seed,
-        workers,
-        stratified,
+    return _verify_hypergraph(
+        h, "strong-minimal", "strong", mode, samples, seed, workers, stratified
     )
 
 
@@ -267,60 +267,14 @@ def verify_minimal_involution_free(
     those on 1 < n' < n vertices must admit an involution.
     """
     kind = "invfree-nontrivial" if nontrivial_only else "invfree"
-    return _verify_subgraphs(
-        h,
-        "minimal-involution-free",
-        kind,
-        has_involution,
-        mode,
-        samples,
-        seed,
-        workers,
-        stratified,
+    return _verify_hypergraph(
+        h, "minimal-involution-free", kind, mode, samples, seed, workers, stratified
     )
 
 
 def verify_minimal_asymmetric(h: Hypergraph, workers: int = 1) -> VerificationReport:
     """Asymmetric, and every induced subgraph on 1 < n' < n vertices is
-    symmetric."""
-    start = time.perf_counter()
-    if h.n > _EXHAUSTIVE_EDGE_LIMIT:
-        raise ResourceGuardError(
-            f"induced-subgraph scan over 2^{h.n} vertex subsets refused"
-        )
-
-    def finish(holds, checked, witness=""):
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return VerificationReport(
-            "minimal-asymmetric", holds, "exhaustive", checked, 0, elapsed, witness
-        )
-
-    bad = find_nonidentity_automorphism(h)
-    if bad is not None:
-        return finish(False, 0, to_hgf(h) + perm_line(bad))
-    checked = 0
-    for mask in range(1, 1 << h.n):
-        verts = [v for v in range(h.n) if mask >> v & 1]
-        if not 1 < len(verts) < h.n:
-            continue
-        checked += 1
-        if is_asymmetric(induced_sub(h, verts)):
-            verts = _shrink_vertices(h, verts)
-            sub = induced_sub(h, verts)
-            witness = "# vertices " + " ".join(map(str, verts)) + "\n" + to_hgf(sub)
-            return finish(False, checked, witness)
-    return finish(True, checked)
-
-
-def _shrink_vertices(h: Hypergraph, verts: list[int]) -> list[int]:
-    """Greedily drop vertices while the induced subgraph stays
-    asymmetric and non-trivial."""
-    improved = True
-    while improved:
-        improved = False
-        for v in list(verts):
-            candidate = [u for u in verts if u != v]
-            if len(candidate) > 1 and is_asymmetric(induced_sub(h, candidate)):
-                verts = candidate
-                improved = True
-    return verts
+    symmetric.  Always exhaustive; refused beyond 20 vertices."""
+    return _verify_hypergraph(
+        h, "minimal-asymmetric", "induced", "exhaustive", 0, None, workers
+    )

@@ -328,6 +328,19 @@ def test_rel_verify_minimal_failure(capsys, tmp_path):
     assert "minimal-asymmetric-rel false" in out
 
 
+def test_duplicate_rows_are_input_errors(capsys, tmp_path):
+    hgf = tmp_path / "d.hgf"
+    hgf.write_text("3 2 2\n0 1\n0 1\n")
+    code, _, err = run(capsys, "aut", "--input", str(hgf))
+    assert code == 2
+    assert "duplicate edge line" in err
+    rel = tmp_path / "d.rel"
+    rel.write_text("2 2 2\n0 1\n0 1\n")
+    code, _, err = run(capsys, "rel", "mult", "--input", str(rel))
+    assert code == 2
+    assert "duplicate tuple line" in err
+
+
 def test_aut_rel_flag(capsys, tmp_path):
     path = tmp_path / "r.rel"
     run(capsys, "gen", "--family", "r3t", "--t", "1", "-o", str(path))

@@ -167,6 +167,17 @@ def test_hgf_stream_round_trip():
     assert parse_hgf_stream("") == []
 
 
+def test_hgf_stream_splits_on_whole_separator_lines_only():
+    a, b = Hypergraph(3, [(0, 1)]), Hypergraph(4, [(0, 1, 2)])
+    text = "# first --- of two\n" + to_hgf(a) + "---\n# second---\n" + to_hgf(b)
+    assert parse_hgf_stream(text) == [a, b]
+
+
+def test_hgf_rejects_duplicate_edges():
+    with pytest.raises(ValueError, match="duplicate edge line"):
+        parse_hgf("3 2 2\n0 1\n0 1\n")
+
+
 def test_serialize_labels():
     assert serialize_labels(["u0", "x"]) == "0 u0\n1 x\n"
 

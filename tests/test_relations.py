@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+import minasym.autom as autom
 from minasym import (
     Hypergraph,
+    ResourceGuardError,
     RelationalStructure,
     automorphisms_rel,
     brute_force_automorphisms_rel,
@@ -212,6 +214,13 @@ def test_rel_rejects_malformed_input():
             parse_rel(bad)
 
 
+def test_rel_rejects_duplicate_tuples():
+    with pytest.raises(ValueError, match="duplicate tuple line"):
+        parse_rel("3 3 2\n0 1\n1 2\n0 1\n")
+    # the same entries in another order are a different tuple
+    assert parse_rel("2 2 2\n0 1\n1 0\n").m == 2
+
+
 def test_canonical_key_rel_is_invariant():
     rng = random.Random(21)
     for _ in range(100):
@@ -233,3 +242,26 @@ def test_find_nonidentity_rel():
             assert is_asymmetric_rel(r)
         else:
             assert p != tuple(range(r.n))
+
+
+def test_find_nonidentity_rel_swaps_isolated_points(monkeypatch):
+    # no tuple slot is shared, so only isolated points can be swapped
+    # without a search
+    assert find_nonidentity_automorphism_rel(RelationalStructure(4, 2, [(0, 1), (1, 2)])) is None
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("engine built although two points are isolated")
+
+    monkeypatch.setattr(autom, "structure_engine", no_search)
+    r = RelationalStructure(5, 2, [(0, 1), (1, 2)])
+    p = find_nonidentity_automorphism_rel(r)
+    assert p == (0, 1, 2, 4, 3)
+    assert {tuple(p[v] for v in t) for t in r.tuples} == set(r.tuples)
+    assert not is_asymmetric_rel(r)
+
+
+def test_verify_minimal_rel_guard():
+    r = gen_hcirc(5, 2)
+    assert r.n == 27
+    with pytest.raises(ResourceGuardError):
+        verify_minimal_asymmetric_rel(r)

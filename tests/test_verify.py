@@ -177,6 +177,13 @@ def test_parallel_scan_agrees_with_serial(monkeypatch):
     parallel = verify_strongly_minimal(bad, workers=2)
     assert serial.holds == parallel.holds is False
     assert serial.witness_text == parallel.witness_text
+    # induced scans over vertex subsets take the same pool
+    for h, holds in [(gen_gkt_circ(3, 1), True), (bad, False)]:
+        serial = verify_minimal_asymmetric(h, workers=1)
+        parallel = verify_minimal_asymmetric(h, workers=2)
+        assert serial.holds == parallel.holds is holds
+        assert serial.samples == parallel.samples
+        assert serial.witness_text == parallel.witness_text
 
 
 def test_strong_minimal_implies_induced_minimal():
@@ -194,3 +201,23 @@ def test_self_check_failure_reports_perm():
     rep = verify_minimal_involution_free(gen_gk(4))
     assert not rep.holds
     assert rep.witness_text.splitlines()[-1].startswith("perm ")
+
+
+def test_exhaustive_witness_is_a_fixed_point_of_the_shrink():
+    # every proper sub-mask of the first violation in an ascending scan
+    # is smaller, so it was scanned and found clean before
+    rng = random.Random(41)
+    found = {kind: 0 for kind in verify_mod._KINDS}
+    for _ in range(60):
+        n, k = rng.randrange(5, 8), rng.choice([2, 3])
+        pool = list(itertools.combinations(range(n), k))
+        h = Hypergraph(n, rng.sample(pool, rng.randrange(3, 11)), k=k)
+        for kind in verify_mod._KINDS:
+            subsets = verify_mod._Subsets(h.n, h.edges, False, kind)
+            bad, _ = verify_mod._scan(subsets, workers=1)
+            if bad is None:
+                continue
+            found[kind] += 1
+            assert subsets.test(bad) is True
+            assert verify_mod._shrink(subsets, bad) == bad, (h, kind)
+    assert min(found.values()) >= 10, found
