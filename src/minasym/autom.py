@@ -6,17 +6,21 @@ and backtracks over individualization choices.  Candidate bijections are
 only ever read off discrete colorings and are verified edge-by-edge, so
 every reported automorphism is genuine regardless of refinement power.
 
-Group order goes through a deterministic Schreier-Sims stabilizer chain
-over the returned generators.  A factorial brute-force oracle (n <= 9)
-provides an independent route for cross-checking.
+One walk down the identity path of the search tree finds the first
+non-identity automorphism, a generating set, and the group order as the
+product of the path's orbit sizes; its generators also prune the
+canonical-labeling search.  The deterministic Schreier-Sims stabilizer
+chain (`group_order`) and a factorial brute-force oracle (n <= 9) are
+independent routes for cross-checking.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
@@ -54,6 +58,8 @@ class _Engine:
         self.ordered = ordered
         self.edge_set = frozenset(self.edges)
         self.inc = _incidence(n, self.edges, ordered)
+        self._gens: Optional[list[Perm]] = None
+        self._order: Optional[int] = None
         if pinned:
             base = [1 if v in pinned else 0 for v in range(n)]
         else:
@@ -152,42 +158,43 @@ class _Engine:
         return None
 
     def find_nonidentity(self) -> Optional[Perm]:
-        return self._noniden_rec(self.base, 0)
-
-    def _noniden_rec(self, state, depth: int) -> Optional[Perm]:
-        color = self._select_cell(state[0])
-        if color is None:
-            return None
-        cell = self._cell_members(state[0], color)
-        t = cell[0]
-        marker = self._marker(depth)
-        on_path = self._individualize(state, t, marker)
-        for v in cell:
-            if v == t:
-                found = self._noniden_rec(on_path, depth + 1)
-            else:
-                found = self._find_ext(on_path, self._individualize(state, v, marker), depth + 1)
-            if found is not None:
-                return found
-        return None
+        """First automorphism the identity-path walk finds, if any."""
+        return next(self._walk(self.base, 0, []), None)
 
     def generators(self) -> list[Perm]:
         """Generating set of the full color-preserving automorphism group.
 
-        Walks the identity path; each level contributes the stabilizer's
-        generators plus one coset representative per new orbit point.
+        The first call runs the identity-path walk to the end and caches
+        its generators and the group order.
         """
-        return self._gens_rec(self.base, 0)
+        if self._gens is None:
+            sizes: list[int] = []
+            self._gens = list(self._walk(self.base, 0, sizes))
+            self._order = math.prod(sizes)
+        return list(self._gens)
 
-    def _gens_rec(self, state, depth: int) -> list[Perm]:
+    def _walk(self, state, depth: int, sizes: list[int]) -> Iterator[Perm]:
+        """Walk the identity path, yielding each new coset representative
+        as soon as it is found, deepest level first.
+
+        At each level, the generators found below generate the pointwise
+        stabilizer of the prefix and the path vertex t.  Each cell vertex
+        outside their orbit of t that an automorphism fixing the prefix
+        reaches becomes a new representative, so the final orbit is t's
+        full orbit under the prefix's stabilizer.  Its size goes to
+        `sizes`, whose product is the group order by orbit-stabilizer.
+        """
         color = self._select_cell(state[0])
         if color is None:
-            return []
+            return
         cell = self._cell_members(state[0], color)
         t = cell[0]
         marker = self._marker(depth)
         on_path = self._individualize(state, t, marker)
-        gens = self._gens_rec(on_path, depth + 1)
+        gens: list[Perm] = []
+        for g in self._walk(on_path, depth + 1, sizes):
+            gens.append(g)
+            yield g
         orbit = _orbit_of(t, gens)
         for v in cell[1:]:
             if v in orbit:
@@ -195,8 +202,9 @@ class _Engine:
             rep = self._find_ext(on_path, self._individualize(state, v, marker), depth + 1)
             if rep is not None:
                 gens.append(rep)
+                yield rep
                 orbit = _orbit_of(t, gens)
-        return gens
+        sizes.append(len(orbit))
 
     def find_involution(self) -> Optional[Perm]:
         """First automorphism of order two, searched as paired assignments."""
@@ -240,39 +248,26 @@ class _Engine:
 
     def canonical(self) -> tuple[tuple, Perm]:
         """Minimal relabeled edge encoding over the search tree, with the
-        relabeling that realizes it.  Leaves with equal encodings reveal
-        automorphisms, which prune sibling branches orbit-wise."""
+        relabeling that realizes it.  At each node, the generators that
+        fix the individualized prefix prune the cell orbit-wise; on the
+        identity path they generate the prefix's whole stabilizer."""
+        gens = self.generators()
         best: list = [None, None]
-        auts: list[Perm] = []
-        first_leaf: dict = {}
-
-        def leaf(state):
-            sigma = state[0]
-            enc = self._encode(sigma)
-            if enc in first_leaf:
-                other = first_leaf[enc]
-                aut = compose(inverse(other), sigma)
-                if not is_identity(aut) and len(auts) < 64:
-                    auts.append(aut)
-            else:
-                first_leaf[enc] = tuple(sigma)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best[1] = tuple(sigma)
 
         def rec(state, depth, prefix):
             color = self._select_cell(state[0])
             if color is None:
-                leaf(state)
+                enc = self._encode(state[0])
+                if best[0] is None or enc < best[0]:
+                    best[0], best[1] = enc, tuple(state[0])
                 return
-            cell = self._cell_members(state[0], color)
+            usable = [g for g in gens if all(g[p] == p for p in prefix)]
             marker = self._marker(depth)
-            explored: list[int] = []
-            for v in cell:
-                if explored and _in_explored_orbit(v, explored, prefix, auts):
-                    continue
-                explored.append(v)
-                rec(self._individualize(state, v, marker), depth + 1, prefix + (v,))
+            covered: set[int] = set()
+            for v in self._cell_members(state[0], color):
+                if v not in covered:
+                    covered |= _orbit_of(v, usable)
+                    rec(self._individualize(state, v, marker), depth + 1, prefix + (v,))
 
         rec(self.base, 0, ())
         return best[0], best[1]
@@ -306,26 +301,6 @@ def _orbit_of(point: int, gens: Sequence[Perm]) -> set[int]:
                 orbit.add(q)
                 queue.append(q)
     return orbit
-
-
-def _in_explored_orbit(v, explored, prefix, auts) -> bool:
-    """Is v reachable from an explored sibling by a found automorphism
-    fixing the individualized prefix pointwise?"""
-    usable = [g for g in auts if all(g[p] == p for p in prefix)]
-    if not usable:
-        return False
-    seen = set(explored)
-    queue = list(explored)
-    while queue:
-        p = queue.pop()
-        for g in usable:
-            q = g[p]
-            if q == v:
-                return True
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return False
 
 
 # -- Schreier-Sims ----------------------------------------------------
@@ -495,7 +470,7 @@ def _assemble(
 ) -> AutomResult:
     engine = structure_engine(n, edges, ordered, stabilize)
     gens = engine.generators()
-    order = group_order(gens, n)
+    order = engine._order
     witness = None
     if order % 2 == 0:
         if not ordered:  # relations report the engine's involution

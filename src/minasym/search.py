@@ -14,6 +14,8 @@ the backtracking engine.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
@@ -294,7 +296,20 @@ def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
 
 
 def write_checkpoint(path: str, k: int, n: int, last_mask: int) -> None:
-    Path(path).write_text(f"{k} {n} {last_mask}\n", encoding="ascii")
+    """Replace the checkpoint atomically: the new contents go to a
+    temporary file in the same directory, which is then renamed over
+    `path`, so a failed write leaves the previous checkpoint intact."""
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as f:
+            f.write(f"{k} {n} {last_mask}\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path: str) -> tuple[int, int, int]:

@@ -1,7 +1,9 @@
 """Automorphism engine against the n! oracle."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -25,6 +27,27 @@ from minasym import (
     set_complement,
 )
 from util import oracle_automorphisms, random_mixed, random_uniform
+
+
+def hypercube(d: int) -> Hypergraph:
+    n = 1 << d
+    return Hypergraph(n, [(v, v | 1 << i) for v in range(n) for i in range(d) if not v >> i & 1])
+
+
+def disjoint_union(*parts: Hypergraph) -> Hypergraph:
+    edges, offset = [], 0
+    for h in parts:
+        edges += [tuple(v + offset for v in e) for e in h.edges]
+        offset += h.n
+    return Hypergraph(offset, edges)
+
+
+def torus_graph(steps) -> Hypergraph:
+    """Cayley graph on Z_4 x Z_4 with connection set `steps`."""
+    return Hypergraph(16, [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4) for da, db in steps
+    ])
 
 
 def test_engine_matches_oracle_on_random_structures():
@@ -95,9 +118,21 @@ def test_known_group_orders():
     assert automorphisms(cycle5).group_order == 10
     path4 = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
     assert automorphisms(path4).group_order == 2
+    assert automorphisms(Hypergraph(16)).group_order == math.factorial(16)
+    assert automorphisms(hypercube(5)).group_order == 2**5 * math.factorial(5)
+    k4 = Hypergraph(4, itertools.combinations(range(4), 2))
+    assert automorphisms(disjoint_union(k4, k4, k4, k4)).group_order == 24**4 * 24
+    k9_3 = Hypergraph(9, itertools.combinations(range(9), 3))
+    assert automorphisms(k9_3).group_order == math.factorial(9)
+    # Both are strongly regular (16, 6, 2, 2), so refinement leaves all 32
+    # vertices in one cell that holds two orbits: 2 * 24^2 times 192.
+    rook = torus_graph([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+    shrikhande = torus_graph([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+    assert automorphisms(disjoint_union(rook, shrikhande)).group_order == 221_184
 
 
 def test_generators_generate_the_whole_group():
+    """The walk's order (a product of orbit sizes) against Schreier-Sims."""
     rng = random.Random(23)
     for _ in range(60):
         h = random_mixed(rng, n_hi=6)
@@ -163,6 +198,30 @@ def test_canonical_form_is_a_fixed_point():
         c = canonical_form(h)
         assert canonical_key(c) == canonical_key(h)
         assert canonical_form(c) == c
+
+
+def test_canonical_labeling_of_large_groups_is_fast_and_invariant():
+    rng = random.Random(71)
+    cases = {
+        "empty(20)": Hypergraph(20),
+        "K_20": Hypergraph(20, itertools.combinations(range(20), 2)),
+        "Q_6": hypercube(6),
+    }
+    start = time.perf_counter()
+    for name, h in cases.items():
+        forms, keys = set(), set()
+        for _ in range(4):
+            p = list(range(h.n))
+            rng.shuffle(p)
+            g = relabel(h, tuple(p))
+            keys.add(canonical_key(g))
+            forms.add(canonical_form(g))
+        assert len(keys) == 1, name
+        assert len(forms) == 1, name
+        form = forms.pop()
+        assert canonical_form(form) == form, name
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"canonical labeling of large groups took {elapsed:.1f}s"
 
 
 def test_stabilizer_rejects_bad_vertices():

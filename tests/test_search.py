@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import pytest
 
@@ -188,6 +189,22 @@ def test_checkpoint_round_trip(tmp_path):
     (tmp_path / "bad.ck").write_text("1 2\n")
     with pytest.raises(ValueError):
         read_checkpoint(str(tmp_path / "bad.ck"))
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "scan.ck"
+    write_checkpoint(str(path), 3, 6, 10)
+    write_checkpoint(str(path), 3, 6, 20)
+    assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError):
+        write_checkpoint(str(path), 3, 6, 30)
+    assert read_checkpoint(str(path)) == (3, 6, 20)
+    assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
 
 
 def test_scan_writes_resumable_checkpoints(tmp_path):
