@@ -160,29 +160,17 @@ def _cmd_verify(args) -> int:
     h = _load_graph(args)
     workers = args.workers if args.workers is not None else _default_workers()
     prop = args.property
+    scan = dict(
+        mode=args.mode, samples=args.samples, seed=args.seed, workers=workers, stratified=args.stratified
+    )
     if prop == "asymmetric":
         report = verify_asymmetric(h)
     elif prop == "minimal-asymmetric":
         report = verify_minimal_asymmetric(h, workers=workers)
     elif prop == "strong-minimal":
-        report = verify_strongly_minimal(
-            h,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-            workers=workers,
-            stratified=args.stratified,
-        )
+        report = verify_strongly_minimal(h, **scan)
     else:
-        report = verify_minimal_involution_free(
-            h,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-            workers=workers,
-            stratified=args.stratified,
-            nontrivial_only=args.nontrivial_only,
-        )
+        report = verify_minimal_involution_free(h, nontrivial_only=args.nontrivial_only, **scan)
     _emit(serialize_report(report), args.output)
     return 0 if report.holds else 1
 
@@ -203,13 +191,13 @@ def _cmd_search(args) -> int:
     if action == "all-symmetric":
         if args.k is None or args.n is None:
             raise ValueError("all-symmetric needs --k and --n")
-        start = 0
+        start = before = 0
         if args.checkpoint and Path(args.checkpoint).exists():
-            ck, cn, last = read_checkpoint(args.checkpoint)
-            if (ck, cn) != (args.k, args.n):
+            ck, cn, chalf, last, before = read_checkpoint(args.checkpoint)
+            if (ck, cn, chalf) != (args.k, args.n, args.half):
                 raise ValueError(
-                    f"checkpoint {args.checkpoint!r} is for k={ck} n={cn}, "
-                    f"not k={args.k} n={args.n}"
+                    f"checkpoint {args.checkpoint!r} is for k={ck} n={cn} half={chalf}, "
+                    f"not k={args.k} n={args.n} half={args.half}"
                 )
             start = last + 1
         scan = verify_lemma_all_symmetric(
@@ -221,7 +209,7 @@ def _cmd_search(args) -> int:
         )
         print("true" if scan.all_symmetric else "false")
         print(
-            f"# scanned {scan.scanned} of {scan.total_labeled} labeled "
+            f"# scanned {before + scan.scanned} of {scan.total_labeled} labeled "
             f"{scan.k}-graphs on {scan.n} vertices"
         )
         if scan.witness is not None:

@@ -235,42 +235,33 @@ def gen_asym_witness_2graph(n: int) -> Optional[Hypergraph]:
     return found
 
 
+def _build_asym_witness(n: int) -> tuple[Hypergraph, list[str]]:
+    g = gen_asym_witness_2graph(n)
+    if g is None:
+        raise ValueError(f"no asymmetric 2-graph on {n} vertices")
+    return g, [f"v{i}" for i in range(g.n)]
+
+
+# family token -> (the parameters it needs, builder of (graph, labels))
+_FAMILIES = {
+    "gkt": (("k", "t"), lambda k, t: _build_gkt(k, t)[:2]),
+    "gkt-circ": (("k", "t"), _build_gkt_circ),
+    "gk": (("k",), _build_gk),
+    "gk-star": (("k",), _build_gk_star),
+    "gks": (("k", "s"), _build_gks),
+    "figure2": ((), _build_figure2),
+    "asym-witness": (("n",), _build_asym_witness),
+}
+
+
 def build_family(family: str, k=None, t=None, s=None, n=None) -> FamilyBuild:
     """Family registry keyed by the CLI's family tokens."""
-
-    def need(**kwargs):
-        for name, value in kwargs.items():
-            if value is None:
-                raise ValueError(f"family {family!r} needs --{name}")
-        return list(kwargs.values())
-
-    if family == "gkt":
-        kk, tt = need(k=k, t=t)
-        g, labels, _ = _build_gkt(kk, tt)
-        return FamilyBuild(g, tuple(labels))
-    if family == "gkt-circ":
-        kk, tt = need(k=k, t=t)
-        g, labels = _build_gkt_circ(kk, tt)
-        return FamilyBuild(g, tuple(labels))
-    if family == "gk":
-        (kk,) = need(k=k)
-        g, labels = _build_gk(kk)
-        return FamilyBuild(g, tuple(labels))
-    if family == "gk-star":
-        (kk,) = need(k=k)
-        g, labels = _build_gk_star(kk)
-        return FamilyBuild(g, tuple(labels))
-    if family == "gks":
-        kk, ss = need(k=k, s=s)
-        g, labels = _build_gks(kk, ss)
-        return FamilyBuild(g, tuple(labels))
-    if family == "figure2":
-        g, labels = _build_figure2()
-        return FamilyBuild(g, tuple(labels))
-    if family == "asym-witness":
-        (nn,) = need(n=n)
-        g = gen_asym_witness_2graph(nn)
-        if g is None:
-            raise ValueError(f"no asymmetric 2-graph on {nn} vertices")
-        return FamilyBuild(g, tuple(f"v{i}" for i in range(g.n)))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    params, build = _FAMILIES[family]
+    given = {"k": k, "t": t, "s": s, "n": n}
+    for name in params:
+        if given[name] is None:
+            raise ValueError(f"family {family!r} needs --{name}")
+    g, labels = build(*(given[name] for name in params))
+    return FamilyBuild(g, tuple(labels))

@@ -1,11 +1,12 @@
 """Exhaustive scans and isomorph-free enumeration of small k-graphs.
 
-Two independent enumeration strategies cover the same ground: a
-vectorized scan of all labeled edge sets with orbit-minimum
-deduplication, and canonical augmentation growing one edge at a time.
-Their class counts must agree; tests enforce it.
+Two independent enumeration strategies cover the same ground: orbit
+minima propagated over all labeled edge sets along the adjacent
+transpositions, where an orbit of n! masks is an asymmetric class, and
+canonical augmentation growing one edge at a time.  Their class counts
+must agree; tests enforce it.
 
-Labeled scans sieve each edge-set bitmask against precomputed bit
+`_scan_labeled` sieves each bitmask against precomputed bit
 permutations (the whole symmetric group when n! is small, else all
 transpositions with an engine fallback), so only hard instances reach
 the backtracking engine.
@@ -23,13 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autom import (
-    canonical_form,
-    canonical_key,
-    find_nonidentity_automorphism,
-    is_asymmetric,
-    structure_engine,
-)
+from .autom import canonical_form, find_nonidentity_automorphism, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
 from .perms import Perm, identity, transposition
@@ -38,6 +33,7 @@ from .verify import verify_minimal_asymmetric
 _BIT_LIMIT = 24
 _FULL_SIEVE_LIMIT = 5040
 _CHUNK = 1 << 16
+_CHECKPOINT_FIELDS = ("k", "n", "half", "last_mask", "scanned")
 
 
 @dataclass(frozen=True)
@@ -74,33 +70,25 @@ def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 class _Remap:
-    """A bit permutation on edge-index masks, applied via two tables."""
+    """A bit permutation on edge-index masks (below 2^24 under the scan
+    guard), applied via two int32 tables."""
 
-    def __init__(self, perm: Perm, edges: Sequence[tuple[int, ...]], index):
-        c = len(edges)
-        self.lo_bits = min(12, c)
-        img = [1 << index[tuple(sorted(perm[v] for v in e))] for e in edges]
+    def __init__(self, perm: Perm, edges: Sequence[tuple[int, ...]]):
+        self.lo_bits = len(edges) // 2
+        img = [1 << edges.index(tuple(sorted(perm[v] for v in e))) for e in edges]
         self.lo = self._table(img[: self.lo_bits])
         self.hi = self._table(img[self.lo_bits :])
         self.lo_mask = (1 << self.lo_bits) - 1
 
     @staticmethod
     def _table(img: list[int]) -> np.ndarray:
-        t = np.zeros(1 << len(img), dtype=np.int64)
-        idx = np.arange(t.size)
-        for b, bit in enumerate(img):
-            t[((idx >> b) & 1).astype(bool)] |= bit
+        t = np.zeros(1, dtype=np.int32)
+        for bit in img:  # indexes with this bit set form the upper half
+            t = np.concatenate([t, t | bit])
         return t
 
     def apply(self, masks: np.ndarray) -> np.ndarray:
         return self.lo[masks & self.lo_mask] | self.hi[masks >> self.lo_bits]
-
-
-def _sieve_perms(n: int, full: bool) -> list[Perm]:
-    if full:
-        ident = identity(n)
-        return [p for p in permutations(range(n)) if p != ident]
-    return [transposition(n, a, b) for a, b in combinations(range(n), 2)]
 
 
 def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
@@ -125,14 +113,23 @@ def _scan_labeled(
     """
     edges = _edge_space(n, k)
     c = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
     full_sieve = math.factorial(n) <= _FULL_SIEVE_LIMIT
-    sieve = [_Remap(p, edges, index) for p in _sieve_perms(n, full_sieve)]
+    if full_sieve:
+        perms = [p for p in permutations(range(n)) if p != identity(n)]
+    else:
+        perms = [transposition(n, a, b) for a, b in combinations(range(n), 2)]
+    sieve = [_Remap(p, edges) for p in perms]
     total = 1 << c
     limit = c // 2
+    # Masks a scan from 0 counts before start_mask.  With `half`, for the
+    # i-th set bit b of start_mask from the top: the masks that share its
+    # bits above b, clear b, and set at most limit - i bits below it.
+    tops = [b for b in reversed(range(start_mask.bit_length())) if start_mask >> b & 1]
+    counts = (math.comb(b, j) for i, b in enumerate(tops) for j in range(limit - i + 1))
+    before = sum(counts) if half else start_mask
     scanned = 0
     for lo in range(start_mask, total, _CHUNK):
-        block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
         if half:
             block = block[np.bitwise_count(block) <= limit]
         if block.size:
@@ -146,7 +143,9 @@ def _scan_labeled(
                 if find_nonidentity_automorphism(_mask_graph(n, k, edges, mask)) is None:
                     return scanned, mask, total
         if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, k, n, min(lo + _CHUNK, total) - 1)
+            write_checkpoint(
+                checkpoint_path, k, n, half, min(lo + _CHUNK, total) - 1, before + scanned
+            )
     return scanned, None, total
 
 
@@ -179,51 +178,66 @@ def min_asymmetric_order(
     return None, None
 
 
+def _orbit_census(k: int, n: int) -> list[tuple[Hypergraph, bool]]:
+    """(canonical form, asymmetric) for each isomorphism class of
+    k-graphs on n vertices, ordered by edge count then edge list.
+
+    Sweeping `least[x] = min(least[x], least[g(x)])` over the adjacent
+    transpositions g, with pointer jumping, to a fixpoint leaves each
+    mask's orbit minimum in `least` (the orbit algorithm on the Schreier
+    graph; Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    2005, 4.1).  By orbit-stabiliser an orbit of n! masks is an
+    asymmetric class.
+    """
+    edges = _edge_space(n, k)
+    total = 1 << len(edges)
+    gens = [_Remap(transposition(n, v, v + 1), edges) for v in range(n - 1)]
+    least = np.arange(total, dtype=np.int32)
+    # Blocks of _CHUNK masks keep the temporaries small.
+    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    while True:
+        before = int(least.sum(dtype=np.int64))
+        for lo, hi in spans:
+            block, part = np.arange(lo, hi, dtype=np.int32), least[lo:hi]
+            for remap in gens:
+                np.minimum(part, least[remap.apply(block)], out=part)
+            part[:] = least[part]
+        # least only ever falls, so an unchanged sum means a fixpoint.
+        if int(least.sum(dtype=np.int64)) == before:
+            break
+    # Orbit minima are the fixed points of least; an orbit's size is how many masks point at it.
+    reps = np.concatenate([np.flatnonzero(least[lo:hi] == np.arange(lo, hi)) + lo for lo, hi in spans])
+    sizes = sum(np.bincount(np.searchsorted(reps, least[lo:hi]), minlength=reps.size) for lo, hi in spans)
+    order = math.factorial(n)
+    census = [
+        (canonical_form(_mask_graph(n, k, edges, mask)), size == order)
+        for mask, size in zip(reps.tolist(), sizes.tolist())
+    ]
+    census.sort(key=lambda pair: (pair[0].m, pair[0].edges))
+    return census
+
+
 def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
     """One canonical representative per isomorphism class of k-graphs
     on n vertices, ordered by edge count then edge list.
 
     Labeled-scan strategy: every edge-set bitmask is mapped to the
-    minimum of its orbit under the vertex permutations; orbit minima
-    are the class representatives.  Falls back to canonical-key
-    deduplication when the permutation count is impractical.
+    least mask of its orbit under the vertex permutations, by orbit
+    propagation along the adjacent transpositions; orbit minima are the
+    class representatives.
     """
-    edges = _edge_space(n, k)
-    c = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    total = 1 << c
-    if math.factorial(n) <= _FULL_SIEVE_LIMIT:
-        # Blocks of _CHUNK masks stay under numpy's 4 MiB huge-page
-        # threshold, so peak memory does not hinge on page alignment.
-        blocks = [np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64) for lo in range(0, total, _CHUNK)]
-        orbit_min = [block.copy() for block in blocks]
-        for p in _sieve_perms(n, full=True):
-            remap = _Remap(p, edges, index)
-            for block, least in zip(blocks, orbit_min):
-                np.minimum(least, remap.apply(block), out=least)
-        rep_masks = np.concatenate([b[least == b] for b, least in zip(blocks, orbit_min)]).tolist()
-    else:
-        seen: set[bytes] = set()
-        rep_masks = []
-        for mask in range(total):
-            key = canonical_key(_mask_graph(n, k, edges, mask))
-            if key not in seen:
-                seen.add(key)
-                rep_masks.append(mask)
-    reps = [canonical_form(_mask_graph(n, k, edges, mask)) for mask in rep_masks]
-    reps.sort(key=lambda h: (h.m, h.edges))
-    return reps
+    return [rep for rep, _ in _orbit_census(k, n)]
 
 
 def scan_classes(k: int, n: int, keep_witnesses: bool = True) -> SearchOutcome:
     """Class census at (k, n): labeled count, classes, asymmetric classes."""
-    reps = enumerate_k_graphs(k, n)
-    asym = tuple(r for r in reps if is_asymmetric(r))
+    census = _orbit_census(k, n)
+    asym = tuple(rep for rep, asymmetric in census if asymmetric)
     return SearchOutcome(
         k=k,
         n=n,
         total_labeled=1 << math.comb(n, k),
-        iso_classes=len(reps),
+        iso_classes=len(census),
         asymmetric_classes=len(asym),
         witnesses=asym if keep_witnesses else (),
     )
@@ -292,18 +306,20 @@ def classes_by_edge_count(
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
     """All class representatives on n vertices that are asymmetric with
     every non-trivial induced subgraph symmetric."""
-    return [r for r in enumerate_k_graphs(k, n) if verify_minimal_asymmetric(r).holds]
+    return [r for r, asym in _orbit_census(k, n) if asym and verify_minimal_asymmetric(r).holds]
 
 
-def write_checkpoint(path: str, k: int, n: int, last_mask: int) -> None:
-    """Replace the checkpoint atomically: the new contents go to a
-    temporary file in the same directory, which is then renamed over
+def write_checkpoint(path: str, k: int, n: int, half: bool, last_mask: int, scanned: int) -> None:
+    """Record a scan's mode (k, n, half), its last finished mask and the
+    masks it counted from mask 0, as `key=value` fields.  The contents
+    go to a temporary file in the same directory, which is renamed over
     `path`, so a failed write leaves the previous checkpoint intact."""
+    line = f"k={k} n={n} half={int(half)} last_mask={last_mask} scanned={scanned}"
     target = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as f:
-            f.write(f"{k} {n} {last_mask}\n")
+            f.write(line + "\n")
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
@@ -312,9 +328,14 @@ def write_checkpoint(path: str, k: int, n: int, last_mask: int) -> None:
         raise
 
 
-def read_checkpoint(path: str) -> tuple[int, int, int]:
+def read_checkpoint(path: str) -> tuple[int, int, bool, int, int]:
+    """(k, n, half, last_mask, scanned) as written by `write_checkpoint`."""
     parts = Path(path).read_text(encoding="ascii").split()
-    if len(parts) != 3:
-        raise ValueError(f"bad checkpoint file {path!r}")
-    k, n, last_mask = (int(x) for x in parts)
-    return k, n, last_mask
+    fields = dict(p.partition("=")[::2] for p in parts)
+    if len(parts) != len(_CHECKPOINT_FIELDS) or tuple(fields) != _CHECKPOINT_FIELDS:
+        raise ValueError(
+            f"bad checkpoint file {path!r}: it needs the fields {' '.join(_CHECKPOINT_FIELDS)}"
+            " (the three-field checkpoints of older minasym versions cannot be resumed)"
+        )
+    k, n, half, last_mask, scanned = (int(fields[key]) for key in _CHECKPOINT_FIELDS)
+    return k, n, bool(half), last_mask, scanned

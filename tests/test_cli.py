@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, file outputs."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from minasym import (
     parse_hgf_stream,
     parse_rel,
     to_hgf,
+    write_checkpoint,
 )
 from minasym.cli import main
 
@@ -240,7 +242,34 @@ def test_search_checkpoint_resume(capsys, tmp_path):
         "--checkpoint", str(ck),
     )
     assert code == 0
-    assert "scanned 0 of 1024" in out
+    assert "scanned 1024 of 1024" in out
+
+
+def test_search_checkpoint_resume_counts_the_whole_scan(capsys, tmp_path):
+    # 16-graphs on 17 points: two blocks of masks, all symmetric
+    ck = tmp_path / "scan.ck"
+    args = ("search", "all-symmetric", "--k", "16", "--n", "17", "--half", "--checkpoint", str(ck))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    whole = out.splitlines()[1]
+    assert whole == "# scanned 65536 of 131072 labeled 16-graphs on 17 vertices"
+    # as if the first run had stopped after its first block
+    first_block = sum(math.comb(16, j) for j in range(9))
+    write_checkpoint(str(ck), 16, 17, True, (1 << 16) - 1, first_block)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[1] == whole
+
+
+def test_search_checkpoint_half_mismatch(capsys, tmp_path):
+    ck = tmp_path / "scan.ck"
+    write_checkpoint(str(ck), 3, 5, False, 511, 512)
+    code, _, err = run(
+        capsys, "search", "all-symmetric", "--k", "3", "--n", "5", "--half",
+        "--checkpoint", str(ck),
+    )
+    assert code == 2
+    assert "half=False, not k=3 n=5 half=True" in err
 
 
 def test_search_checkpoint_mismatch(capsys, tmp_path):

@@ -25,6 +25,8 @@ from minasym import (
     write_checkpoint,
 )
 
+from util import oracle_automorphisms
+
 
 def test_full_scan_is_complete_when_symmetric():
     scan = verify_lemma_all_symmetric(3, 5)
@@ -96,10 +98,16 @@ def test_scan_classes_outcome():
     assert out6.asymmetric_classes == 8
     assert len(out6.witnesses) == 8
     assert all(is_asymmetric(w) for w in out6.witnesses)
+    # OEIS A000088 and A003400 at n = 7
+    out7 = scan_classes(2, 7)
+    assert out7.total_labeled == 1 << 21
+    assert out7.iso_classes == 1044
+    assert out7.asymmetric_classes == 152
+    assert all(is_asymmetric(w) for w in out7.witnesses)
 
 
 def test_augmentation_agrees_with_scan_dedup():
-    for k, n in [(2, 4), (2, 5), (3, 5), (4, 5), (2, 6)]:
+    for k, n in [(2, 4), (2, 5), (3, 5), (4, 5), (2, 6), (1, 8), (7, 8)]:
         scan_keys = {}
         for r in enumerate_k_graphs(k, n):
             scan_keys.setdefault(r.m, set()).add(canonical_key(r))
@@ -108,6 +116,21 @@ def test_augmentation_agrees_with_scan_dedup():
             if layer:
                 aug_keys[m] = {canonical_key(r) for r in layer}
         assert scan_keys == aug_keys, (k, n)
+
+
+def test_class_orbits_satisfy_orbit_stabiliser():
+    """Each class's orbit has n!/|Aut| labeled members, so these sum to
+    the labeled count, and a class is asymmetric exactly when |Aut| = 1
+    (group orders from the n! oracle)."""
+    for k, n in [(2, 5), (3, 5), (2, 6)]:
+        out = scan_classes(k, n)
+        asymmetric = set(out.witnesses)
+        orbits = 0
+        for rep in enumerate_k_graphs(k, n):
+            order = len(oracle_automorphisms(rep))
+            orbits += math.factorial(n) // order
+            assert (rep in asymmetric) == (order == 1), (k, n, rep.edges)
+        assert orbits == out.total_labeled, (k, n)
 
 
 def test_augmentation_is_duplicate_free():
@@ -184,17 +207,22 @@ def test_complement_duality_of_class_counts():
 
 def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "scan.ck")
-    write_checkpoint(path, 3, 6, 12345)
-    assert read_checkpoint(path) == (3, 6, 12345)
-    (tmp_path / "bad.ck").write_text("1 2\n")
-    with pytest.raises(ValueError):
-        read_checkpoint(str(tmp_path / "bad.ck"))
+    write_checkpoint(path, 3, 6, True, 12345, 9876)
+    assert read_checkpoint(path) == (3, 6, True, 12345, 9876)
+    assert (tmp_path / "scan.ck").read_text() == "k=3 n=6 half=1 last_mask=12345 scanned=9876\n"
+    for bad in ("1 2\n", "k=3 n=6 half=0 last_mask=5\n", "n=6 k=3 half=0 last_mask=5 scanned=6\n"):
+        (tmp_path / "bad.ck").write_text(bad)
+        with pytest.raises(ValueError, match="bad checkpoint"):
+            read_checkpoint(str(tmp_path / "bad.ck"))
+    (tmp_path / "old.ck").write_text("3 6 12345\n")
+    with pytest.raises(ValueError, match="older minasym"):
+        read_checkpoint(str(tmp_path / "old.ck"))
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "scan.ck"
-    write_checkpoint(str(path), 3, 6, 10)
-    write_checkpoint(str(path), 3, 6, 20)
+    write_checkpoint(str(path), 3, 6, False, 10, 11)
+    write_checkpoint(str(path), 3, 6, False, 20, 21)
     assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
 
     def disk_full(fd):
@@ -202,8 +230,8 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", disk_full)
     with pytest.raises(OSError):
-        write_checkpoint(str(path), 3, 6, 30)
-    assert read_checkpoint(str(path)) == (3, 6, 20)
+        write_checkpoint(str(path), 3, 6, False, 30, 31)
+    assert read_checkpoint(str(path)) == (3, 6, False, 20, 21)
     assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
 
 
@@ -211,9 +239,10 @@ def test_scan_writes_resumable_checkpoints(tmp_path):
     path = str(tmp_path / "scan.ck")
     scan = verify_lemma_all_symmetric(3, 5, checkpoint_path=path)
     assert scan.all_symmetric
-    k, n, last = read_checkpoint(path)
-    assert (k, n) == (3, 5)
+    k, n, half, last, scanned = read_checkpoint(path)
+    assert (k, n, half) == (3, 5, False)
     assert last == scan.total_labeled - 1
+    assert scanned == scan.scanned
     resumed = verify_lemma_all_symmetric(3, 5, start_mask=last + 1, checkpoint_path=path)
     assert resumed.all_symmetric
     assert resumed.scanned == 0
@@ -224,3 +253,13 @@ def test_resume_skips_scanned_prefix():
     partial = verify_lemma_all_symmetric(2, 5, start_mask=512)
     assert partial.scanned == full.scanned - 512
     assert partial.all_symmetric
+
+
+def test_resumed_half_scan_checkpoints_the_cumulative_count(tmp_path):
+    # 16-graphs on 17 points: two blocks of masks, all symmetric
+    full = verify_lemma_all_symmetric(16, 17, half=True)
+    path = str(tmp_path / "scan.ck")
+    partial = verify_lemma_all_symmetric(16, 17, half=True, start_mask=1 << 16, checkpoint_path=path)
+    assert partial.all_symmetric
+    assert partial.scanned == full.scanned - sum(math.comb(16, j) for j in range(9))
+    assert read_checkpoint(path) == (16, 17, True, (1 << 17) - 1, full.scanned)
