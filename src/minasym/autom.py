@@ -9,9 +9,13 @@ every reported automorphism is genuine regardless of refinement power.
 One walk down the identity path of the search tree finds the first
 non-identity automorphism, a generating set, and the group order as the
 product of the path's orbit sizes; its generators also prune the
-canonical-labeling search.  The deterministic Schreier-Sims stabilizer
-chain (`group_order`) and a factorial brute-force oracle (n <= 9) are
-independent routes for cross-checking.
+canonical-labeling search.  By Cauchy's theorem an involution exists
+exactly when some orbit size on the path is even, and below the deepest
+even level every involution moves that level's path vertex, so
+`find_involution` searches only the swaps of that vertex.  The
+deterministic Schreier-Sims stabilizer chain (`group_order`) and a
+factorial brute-force oracle (n <= 9) are independent routes for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
-from .perms import Perm, compose, identity, inverse, is_identity, is_involution
+from .perms import Perm, compose, identity, inverse, is_identity, is_involution, order, power
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,12 @@ class _Engine:
         its generators and the group order.
         """
         if self._gens is None:
-            sizes: list[int] = []
-            self._gens = list(self._walk(self.base, 0, sizes))
-            self._order = math.prod(sizes)
+            levels: list[tuple] = []
+            self._gens = list(self._walk(self.base, 0, levels))
+            self._order = math.prod(level[0] for level in levels)
         return list(self._gens)
 
-    def _walk(self, state, depth: int, sizes: list[int]) -> Iterator[Perm]:
+    def _walk(self, state, depth: int, levels: list[tuple]) -> Iterator[Perm]:
         """Walk the identity path, yielding each new coset representative
         as soon as it is found, deepest level first.
 
@@ -181,8 +185,9 @@ class _Engine:
         stabilizer of the prefix and the path vertex t.  Each cell vertex
         outside their orbit of t that an automorphism fixing the prefix
         reaches becomes a new representative, so the final orbit is t's
-        full orbit under the prefix's stabilizer.  Its size goes to
-        `sizes`, whose product is the group order by orbit-stabilizer.
+        full orbit under the prefix's stabilizer.  The finished level goes
+        to `levels` as (orbit size, state, t, cell, depth); the product of
+        the sizes is the group order by orbit-stabilizer.
         """
         color = self._select_cell(state[0])
         if color is None:
@@ -192,7 +197,7 @@ class _Engine:
         marker = self._marker(depth)
         on_path = self._individualize(state, t, marker)
         gens: list[Perm] = []
-        for g in self._walk(on_path, depth + 1, sizes):
+        for g in self._walk(on_path, depth + 1, levels):
             gens.append(g)
             yield g
         orbit = _orbit_of(t, gens)
@@ -204,45 +209,33 @@ class _Engine:
                 gens.append(rep)
                 yield rep
                 orbit = _orbit_of(t, gens)
-        sizes.append(len(orbit))
+        levels.append((len(orbit), state, t, cell, depth))
 
     def find_involution(self) -> Optional[Perm]:
-        """First automorphism of order two, searched as paired assignments."""
-        return self._inv_rec(self.base, self.base, 0)
+        """An automorphism of order two, or None when the group order is odd.
 
-    def _inv_rec(self, dom, cod, depth: int) -> Optional[Perm]:
-        if not self._compatible(dom, cod):
+        By Cauchy's theorem one exists exactly when some orbit size on
+        the walk is even.  Below the deepest even level the stabilizer
+        has odd order, so every involution fixing the prefix moves that
+        level's t: the first automorphism swapping t with a cell vertex
+        has even order, and its half power is the answer.
+        """
+        levels: list[tuple] = []
+        for _ in self._walk(self.base, 0, levels):
+            if any(level[0] % 2 == 0 for level in levels):
+                break
+        even = next((level for level in levels if level[0] % 2 == 0), None)
+        if even is None:
             return None
-        color = self._select_cell(dom[0])
-        if color is None:
-            perm = self._extract(dom, cod)
-            if perm is not None and is_involution(perm):
-                return perm
-            return None
-        t = self._cell_members(dom[0], color)[0]
-        mark_a = self._marker(depth)
-        mark_b = self._marker(depth + 1)
-        for v in self._cell_members(cod[0], color):
-            if v == t:
-                found = self._inv_rec(
-                    self._individualize(dom, t, mark_a),
-                    self._individualize(cod, t, mark_a),
-                    depth + 1,
-                )
-            else:
-                # pair t<->v, so v's domain color must match t's codomain color
-                if dom[0][v] != cod[0][t]:
-                    continue
-                dom2 = list(dom[0])
-                dom2[t], dom2[v] = mark_a, mark_b
-                cod2 = list(cod[0])
-                cod2[v], cod2[t] = mark_a, mark_b
-                found = self._inv_rec(
-                    self._refine(dom2), self._refine(cod2), depth + 2
-                )
-            if found is not None:
-                return found
-        return None
+        _, state, t, cell, depth = even
+        first, second = self._marker(depth), self._marker(depth + 1)
+        for v in cell[1:]:
+            dom = self._individualize(self._individualize(state, t, first), v, second)
+            cod = self._individualize(self._individualize(state, v, first), t, second)
+            x = self._find_ext(dom, cod, depth + 2)
+            if x is not None:
+                return power(x, order(x) // 2)
+        raise AssertionError("even orbit on the walk but no automorphism swaps its point")
 
     # -- canonical labeling ------------------------------------------
 
@@ -477,8 +470,6 @@ def _assemble(
             witness = _twin_swap(n, edges, False, stabilize)
         if witness is None:
             witness = engine.find_involution()
-        if witness is None:
-            raise AssertionError("even group order but no involution found")
     return AutomResult(
         generators=tuple(gens),
         group_order=order,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -46,14 +47,17 @@ def order(p: Sequence[int]) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        result = _lcm(result, length)
+        result = math.lcm(result, length)
     return result
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+def power(p: Sequence[int], e: int) -> Perm:
+    """p applied e times (e >= 0), by stepping e places along each cycle."""
+    images = list(range(len(p)))
+    for cyc in cycles(p):
+        for i, v in enumerate(cyc):
+            images[v] = cyc[(i + e) % len(cyc)]
+    return tuple(images)
 
 
 def validate(p: Sequence[int], n: int) -> None:

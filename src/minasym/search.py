@@ -6,9 +6,8 @@ transpositions, where an orbit of n! masks is an asymmetric class, and
 canonical augmentation growing one edge at a time.  Their class counts
 must agree; tests enforce it.
 
-`_scan_labeled` sieves each bitmask against precomputed bit
-permutations (the whole symmetric group when n! is small, else all
-transpositions with an engine fallback), so only hard instances reach
+`_scan_labeled` sieves each bitmask against the bit permutations of
+all vertex transpositions; only the masks no transposition fixes reach
 the backtracking engine.
 """
 
@@ -18,7 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -27,11 +26,10 @@ import numpy as np
 from .autom import canonical_form, find_nonidentity_automorphism, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
-from .perms import Perm, identity, transposition
+from .perms import Perm, transposition
 from .verify import verify_minimal_asymmetric
 
 _BIT_LIMIT = 24
-_FULL_SIEVE_LIMIT = 5040
 _CHUNK = 1 << 16
 _CHECKPOINT_FIELDS = ("k", "n", "half", "last_mask", "scanned")
 
@@ -106,6 +104,8 @@ def _scan_labeled(
     """Scan labeled edge sets ascending for an asymmetric instance.
 
     Returns (scanned, first asymmetric mask or None, total space size).
+    A mask some vertex transposition fixes is symmetric; the engine
+    decides the rest.
     With `half` set, masks with more than C/2 edges are skipped; the
     edge-set complement within the full k-subset family preserves the
     automorphism group, so the skipped half is covered by the scanned
@@ -113,12 +113,7 @@ def _scan_labeled(
     """
     edges = _edge_space(n, k)
     c = len(edges)
-    full_sieve = math.factorial(n) <= _FULL_SIEVE_LIMIT
-    if full_sieve:
-        perms = [p for p in permutations(range(n)) if p != identity(n)]
-    else:
-        perms = [transposition(n, a, b) for a, b in combinations(range(n), 2)]
-    sieve = [_Remap(p, edges) for p in perms]
+    sieve = [_Remap(transposition(n, a, b), edges) for a, b in combinations(range(n), 2)]
     total = 1 << c
     limit = c // 2
     # Masks a scan from 0 counts before start_mask.  With `half`, for the
@@ -138,8 +133,6 @@ def _scan_labeled(
                 np.logical_or(sym, remap.apply(block) == block, out=sym)
             scanned += int(block.size)
             for mask in block[~sym].tolist():
-                if full_sieve:
-                    return scanned, mask, total
                 if find_nonidentity_automorphism(_mask_graph(n, k, edges, mask)) is None:
                     return scanned, mask, total
         if checkpoint_path is not None:

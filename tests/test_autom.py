@@ -26,7 +26,14 @@ from minasym import (
     relabel,
     set_complement,
 )
-from util import oracle_automorphisms, random_mixed, random_uniform
+from minasym.autom import structure_engine
+from util import (
+    oracle_automorphisms,
+    oracle_automorphisms_rel,
+    random_mixed,
+    random_relational,
+    random_uniform,
+)
 
 
 def hypercube(d: int) -> Hypergraph:
@@ -107,6 +114,41 @@ def test_involution_exists_iff_group_order_even():
         h = random_mixed(rng)
         res = automorphisms(h)
         assert (res.involution_witness is not None) == (res.group_order % 2 == 0)
+
+
+def _check_engine_involution(n, edges, ordered, auts, pinned=None):
+    """The engine's involution, without the twin shortcut, against the
+    oracle's list of automorphisms preserving `pinned` setwise."""
+    if pinned is not None:
+        auts = [p for p in auts if {p[v] for v in pinned} == set(pinned)]
+    inv = structure_engine(n, edges, ordered, pinned).find_involution()
+    if not any(is_involution(p) for p in auts):
+        assert inv is None
+    else:
+        assert is_involution(inv) and inv in auts
+
+
+def test_engine_involution_matches_oracle():
+    rng = random.Random(97)
+    for trial in range(200):
+        h = random_uniform(rng) if trial % 2 else random_mixed(rng)
+        auts = oracle_automorphisms(h)
+        _check_engine_involution(h.n, h.edges, False, auts)
+        if h.n >= 2:
+            _check_engine_involution(h.n, h.edges, False, auts, rng.sample(range(h.n), 2))
+    for _ in range(150):
+        r = random_relational(rng)
+        _check_engine_involution(r.n, r.tuples, True, oracle_automorphisms_rel(r))
+
+
+def test_engine_involution_on_twin_free_even_groups():
+    cycle12 = Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])
+    petersen = Hypergraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])
+    for h in (hypercube(5), cycle12, petersen):
+        inv = structure_engine(h.n, h.edges, False).find_involution()
+        assert is_involution(inv) and is_automorphism(h, inv)
 
 
 def test_known_group_orders():

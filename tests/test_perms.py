@@ -15,6 +15,7 @@ from minasym.perms import (
     is_identity,
     is_involution,
     order,
+    power,
     random_perm,
     transposition,
     validate,
@@ -58,6 +59,24 @@ def test_order_annihilates(p):
         acc = compose(p, acc)
     assert is_identity(acc)
     assert d >= 1
+
+
+def test_power_of_a_six_cycle():
+    c = from_cycles(6, [range(6)])
+    assert power(c, 0) == identity(6)
+    assert power(c, 1) == c
+    assert power(c, 2) == from_cycles(6, [(0, 2, 4), (1, 3, 5)])
+    assert power(c, 3) == from_cycles(6, [(0, 3), (1, 4), (2, 5)])
+    assert power(c, 6) == power(c, 12) == identity(6)
+    assert power(c, 7) == c
+
+
+@given(p=perms(), e=st.integers(0, 12))
+def test_power_is_repeated_composition(p, e):
+    acc = identity(len(p))
+    for _ in range(e):
+        acc = compose(p, acc)
+    assert power(p, e) == acc
 
 
 @given(p=perms())

@@ -25,15 +25,17 @@ from minasym import (
     write_checkpoint,
 )
 
-from util import oracle_automorphisms
+from minasym.search import _CHUNK
+from util import oracle_automorphisms, oracle_nonidentity
 
 
 def test_full_scan_is_complete_when_symmetric():
-    scan = verify_lemma_all_symmetric(3, 5)
-    assert scan.all_symmetric
-    assert scan.witness is None
-    assert scan.total_labeled == 1024
-    assert scan.scanned == 1024
+    for k, n, total in ((3, 5, 1024), (1, 7, 128), (6, 7, 128)):
+        scan = verify_lemma_all_symmetric(k, n)
+        assert scan.all_symmetric
+        assert scan.witness is None
+        assert scan.total_labeled == total
+        assert scan.scanned == total
 
 
 def test_scan_finds_an_asymmetric_witness():
@@ -49,6 +51,27 @@ def test_half_scan_respects_the_complement_bound():
     assert not scan.all_symmetric
     assert scan.witness.m <= 15 // 2
     assert scan.scanned < scan.total_labeled
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_half_scan_witness_is_the_first_asymmetric_mask(k):
+    """The transposition sieve plus the engine against the n! oracle:
+    the witness is the first half-space mask with no non-identity
+    automorphism, and the scan counts every half-space mask of the
+    blocks up to the witness's."""
+    n = 6
+    edges = list(itertools.combinations(range(n), k))
+    c, limit = len(edges), len(edges) // 2
+
+    def graph(mask):
+        return Hypergraph(n, [e for i, e in enumerate(edges) if mask >> i & 1], k=k)
+
+    half_space = [mask for mask in range(1 << c) if bin(mask).count("1") <= limit]
+    first = next(mask for mask in half_space if oracle_nonidentity(graph(mask)) is None)
+    scan = verify_lemma_all_symmetric(k, n, half=True)
+    assert not scan.all_symmetric
+    assert sum(1 << edges.index(e) for e in scan.witness.edges) == first
+    assert scan.scanned == sum(1 for mask in half_space if mask // _CHUNK <= first // _CHUNK)
 
 
 def test_min_order_small_uniformities():

@@ -50,9 +50,12 @@ def oracle_automorphisms(h: Hypergraph) -> list[tuple[int, ...]]:
 
 
 def oracle_nonidentity(h: Hypergraph) -> Optional[tuple[int, ...]]:
+    """The first non-identity automorphism in permutation order, found
+    without listing the whole group."""
+    target = perm_image(h.edges, range(h.n))
     ident = tuple(range(h.n))
-    for p in oracle_automorphisms(h):
-        if p != ident:
+    for p in itertools.permutations(range(h.n)):
+        if p != ident and perm_image(h.edges, p) == target:
             return p
     return None
 
