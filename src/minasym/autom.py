@@ -6,16 +6,16 @@ and backtracks over individualization choices.  Candidate bijections are
 only ever read off discrete colorings and are verified edge-by-edge, so
 every reported automorphism is genuine regardless of refinement power.
 
-One walk down the identity path of the search tree finds the first
-non-identity automorphism, a generating set, and the group order as the
-product of the path's orbit sizes; its generators also prune the
-canonical-labeling search.  By Cauchy's theorem an involution exists
-exactly when some orbit size on the path is even, and below the deepest
-even level every involution moves that level's path vertex, so
-`find_involution` searches only the swaps of that vertex.  The
-deterministic Schreier-Sims stabilizer chain (`group_order`) and a
-factorial brute-force oracle (n <= 9) are independent routes for
-cross-checking.
+One walk down the identity path of the search tree, resumed by every
+query on the engine, finds the first non-identity automorphism, a
+generating set, and the group order as the product of the path's orbit
+sizes; its generators also prune the canonical-labeling search.  By
+Cauchy's theorem an involution exists exactly when some orbit size on
+the path is even, and below the deepest even level every involution
+moves that level's path vertex, so `find_involution` searches only the
+swaps of that vertex.  The deterministic Schreier-Sims stabilizer chain
+(`group_order`) and a factorial brute-force oracle (n <= 9) are
+independent routes for cross-checking.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceGuardError
@@ -62,13 +62,15 @@ class _Engine:
         self.ordered = ordered
         self.edge_set = frozenset(self.edges)
         self.inc = _incidence(n, self.edges, ordered)
-        self._gens: Optional[list[Perm]] = None
-        self._order: Optional[int] = None
         if pinned:
             base = [1 if v in pinned else 0 for v in range(n)]
         else:
             base = [0] * n
         self.base = self._refine(base)
+        # the engine's one walk, with its generators and finished levels so far
+        self._gens: list[Perm] = []
+        self._levels: list[tuple] = []
+        self._walker = self._walk(self.base, 0, self._levels)
 
     # -- coloring ---------------------------------------------------
 
@@ -163,19 +165,20 @@ class _Engine:
 
     def find_nonidentity(self) -> Optional[Perm]:
         """First automorphism the identity-path walk finds, if any."""
-        return next(self._walk(self.base, 0, []), None)
+        if not self._gens:
+            self._gens.extend(islice(self._walker, 1))
+        return self._gens[0] if self._gens else None
 
     def generators(self) -> list[Perm]:
-        """Generating set of the full color-preserving automorphism group.
-
-        The first call runs the identity-path walk to the end and caches
-        its generators and the group order.
-        """
-        if self._gens is None:
-            levels: list[tuple] = []
-            self._gens = list(self._walk(self.base, 0, levels))
-            self._order = math.prod(level[0] for level in levels)
+        """Generating set of the full color-preserving automorphism group,
+        from the identity-path walk run to its end."""
+        self._gens.extend(self._walker)
         return list(self._gens)
+
+    def order(self) -> int:
+        """Group order: the product of the walk's orbit sizes."""
+        self.generators()
+        return math.prod(level[0] for level in self._levels)
 
     def _walk(self, state, depth: int, levels: list[tuple]) -> Iterator[Perm]:
         """Walk the identity path, yielding each new coset representative
@@ -220,11 +223,12 @@ class _Engine:
         level's t: the first automorphism swapping t with a cell vertex
         has even order, and its half power is the answer.
         """
-        levels: list[tuple] = []
-        for _ in self._walk(self.base, 0, levels):
-            if any(level[0] % 2 == 0 for level in levels):
+        while not any(level[0] % 2 == 0 for level in self._levels):
+            g = next(self._walker, None)
+            if g is None:
                 break
-        even = next((level for level in levels if level[0] % 2 == 0), None)
+            self._gens.append(g)
+        even = next((level for level in self._levels if level[0] % 2 == 0), None)
         if even is None:
             return None
         _, state, t, cell, depth = even
@@ -463,7 +467,7 @@ def _assemble(
 ) -> AutomResult:
     engine = structure_engine(n, edges, ordered, stabilize)
     gens = engine.generators()
-    order = engine._order
+    order = engine.order()
     witness = None
     if order % 2 == 0:
         if not ordered:  # relations report the engine's involution

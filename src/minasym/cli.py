@@ -8,7 +8,6 @@ the computation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -75,19 +74,6 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _default_workers() -> int:
-    env = os.environ.get("ASYM_WORKERS")
-    if env is None or not env.strip():
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ValueError(f"ASYM_WORKERS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise ValueError(f"ASYM_WORKERS must be positive, got {value}")
-    return value
 
 
 def _load_graph(args) -> Hypergraph:
@@ -158,15 +144,12 @@ def _cmd_aut(args) -> int:
 
 def _cmd_verify(args) -> int:
     h = _load_graph(args)
-    workers = args.workers if args.workers is not None else _default_workers()
     prop = args.property
-    scan = dict(
-        mode=args.mode, samples=args.samples, seed=args.seed, workers=workers, stratified=args.stratified
-    )
+    scan = dict(mode=args.mode, samples=args.samples, seed=args.seed, stratified=args.stratified)
     if prop == "asymmetric":
         report = verify_asymmetric(h)
     elif prop == "minimal-asymmetric":
-        report = verify_minimal_asymmetric(h, workers=workers)
+        report = verify_minimal_asymmetric(h)
     elif prop == "strong-minimal":
         report = verify_strongly_minimal(h, **scan)
     else:
@@ -314,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="default: ASYM_WORKERS or 1")
     p.add_argument("--stratified", action="store_true", help="sample subgraph sizes uniformly")
     p.add_argument(
         "--nontrivial-only",

@@ -171,9 +171,9 @@ def min_asymmetric_order(
     return None, None
 
 
-def _orbit_census(k: int, n: int) -> list[tuple[Hypergraph, bool]]:
-    """(canonical form, asymmetric) for each isomorphism class of
-    k-graphs on n vertices, ordered by edge count then edge list.
+def _orbit_census(k: int, n: int) -> list[tuple[int, bool]]:
+    """(orbit-minimum mask, asymmetric) for each isomorphism class of
+    k-graphs on n vertices, in mask order.
 
     Sweeping `least[x] = min(least[x], least[g(x)])` over the adjacent
     transpositions g, with pointer jumping, to a fixpoint leaves each
@@ -202,12 +202,15 @@ def _orbit_census(k: int, n: int) -> list[tuple[Hypergraph, bool]]:
     reps = np.concatenate([np.flatnonzero(least[lo:hi] == np.arange(lo, hi)) + lo for lo, hi in spans])
     sizes = sum(np.bincount(np.searchsorted(reps, least[lo:hi]), minlength=reps.size) for lo, hi in spans)
     order = math.factorial(n)
-    census = [
-        (canonical_form(_mask_graph(n, k, edges, mask)), size == order)
-        for mask, size in zip(reps.tolist(), sizes.tolist())
-    ]
-    census.sort(key=lambda pair: (pair[0].m, pair[0].edges))
-    return census
+    return [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
+
+
+def _canonical_classes(k: int, n: int, masks: Sequence[int]) -> list[Hypergraph]:
+    """Canonical forms of the classes of these masks, ordered by edge
+    count then edge list."""
+    edges = _edge_space(n, k)
+    forms = [canonical_form(_mask_graph(n, k, edges, mask)) for mask in masks]
+    return sorted(forms, key=lambda h: (h.m, h.edges))
 
 
 def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
@@ -219,20 +222,20 @@ def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
     propagation along the adjacent transpositions; orbit minima are the
     class representatives.
     """
-    return [rep for rep, _ in _orbit_census(k, n)]
+    return _canonical_classes(k, n, [mask for mask, _ in _orbit_census(k, n)])
 
 
 def scan_classes(k: int, n: int, keep_witnesses: bool = True) -> SearchOutcome:
-    """Class census at (k, n): labeled count, classes, asymmetric classes."""
+    """Class census at (k, n); only the witnesses kept are canonicalised."""
     census = _orbit_census(k, n)
-    asym = tuple(rep for rep, asymmetric in census if asymmetric)
+    asym = [mask for mask, asymmetric in census if asymmetric]
     return SearchOutcome(
         k=k,
         n=n,
         total_labeled=1 << math.comb(n, k),
         iso_classes=len(census),
         asymmetric_classes=len(asym),
-        witnesses=asym if keep_witnesses else (),
+        witnesses=tuple(_canonical_classes(k, n, asym)) if keep_witnesses else (),
     )
 
 
@@ -299,7 +302,10 @@ def classes_by_edge_count(
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
     """All class representatives on n vertices that are asymmetric with
     every non-trivial induced subgraph symmetric."""
-    return [r for r, asym in _orbit_census(k, n) if asym and verify_minimal_asymmetric(r).holds]
+    edges = _edge_space(n, k)
+    asym = [mask for mask, asymmetric in _orbit_census(k, n) if asymmetric]
+    minimal = [mask for mask in asym if verify_minimal_asymmetric(_mask_graph(n, k, edges, mask)).holds]
+    return _canonical_classes(k, n, minimal)
 
 
 def write_checkpoint(path: str, k: int, n: int, half: bool, last_mask: int, scanned: int) -> None:

@@ -10,15 +10,17 @@ more isolated vertices always yields a swap, and appending exactly one
 changes nothing (the lone isolated vertex is fixed by every
 automorphism).  Each edge subset therefore stands for all its vertex
 extensions, and only its support matters.  Vertex-subset scans pick
-induced sub-structures.
+induced sub-structures.  Every scan runs in this process; the public
+verifiers accept `workers` and ignore it.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from multiprocessing import Pool
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .autom import _involution, _nonidentity, find_nonidentity_automorphism
 from .errors import ResourceGuardError
@@ -26,7 +28,8 @@ from .hypergraph import Hypergraph, _restrict, to_hgf
 from .report import VerificationReport, perm_line
 
 _EXHAUSTIVE_EDGE_LIMIT = 20
-_PARALLEL_THRESHOLD = 1 << 14
+_WORD = 62  # edge bits per int64 word of a scan row
+_BLOCK = 1 << 16  # vertices x masks per scan block
 
 
 class _Kind(NamedTuple):
@@ -51,8 +54,7 @@ class _Subsets:
     """The sub-structures of one raw structure, picked by bitmasks."""
 
     def __init__(self, n: int, edges, ordered: bool, kind: str):
-        self.n, self.edges, self.ordered, self.name = n, tuple(edges), ordered, kind
-        self.kind = _KINDS[kind]
+        self.n, self.edges, self.ordered, self.kind = n, tuple(edges), ordered, _KINDS[kind]
         self.bits = n if self.kind.induced else len(self.edges)
         self.full = (1 << self.bits) - 1
         self.edge_bits = [sum(1 << v for v in set(e)) for e in self.edges]
@@ -84,41 +86,51 @@ class _Subsets:
         return self.symmetry(n, sub_edges, self.ordered) is None
 
 
-def _scan_chunk(args) -> tuple[Optional[int], int]:
-    """First violating mask in [start, end), plus the masks checked.
+def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
+    """First violating mask in ascending order, and the masks checked.
 
     Every non-empty edge subset counts as checked (2^m - 1 in all), as
     it stands for its vertex extensions; vertex subsets count only in
-    scope (2^n - n - 2 in all).
+    scope (2^n - n - 2 in all).  In each numpy block of masks, a vertex's
+    row holds its incident picked edges, in words of `_WORD` bits.  Two
+    in-scope vertices with equal rows swap as twins, an involution (with
+    `ordered`, only two isolated points), so only the in-scope masks
+    without twins reach `subsets.test`.
     """
-    n, edges, ordered, kind, start, end = args
-    subsets = _Subsets(n, edges, ordered, kind)
+    n, m, kind = subsets.n, len(subsets.edges), subsets.kind
+    if not kind.induced and m > _WORD:
+        raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
+    words = max(1, -(-m // _WORD))
+    word_bits = np.zeros((m, words), dtype=np.int64)  # each edge's bit in its word
+    word_bits[np.arange(m), np.arange(m) // _WORD] = np.left_shift(1, np.arange(m) % _WORD)
+    member = np.array([[v in e for e in subsets.edges] for v in range(n)], dtype=np.int64).reshape(n, m)
+    inc, arity, verts = member @ word_bits, member.sum(axis=0), np.arange(n)
+    step = max(1, _BLOCK // (n * words or 1))
     checked = 0
-    for mask in range(max(start, 1), end):
-        bad = subsets.test(mask)
-        if bad is not None or not subsets.kind.induced:
-            checked += 1
-        if bad:
-            return mask, checked
-    return None, checked
-
-
-def _scan(subsets: _Subsets, workers: int) -> tuple[Optional[int], int]:
-    """First violating mask in ascending order, plus the number of
-    masks checked before stopping."""
-    total = subsets.full + 1
-    task = (subsets.n, subsets.edges, subsets.ordered, subsets.name)
-    if workers <= 1 or total < _PARALLEL_THRESHOLD:
-        return _scan_chunk(task + (0, total))
-    chunk = max(1, total // (workers * 64))
-    checked = 0
-    with Pool(workers) as pool:
-        tasks = [task + (lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        for bad, part in pool.imap(_scan_chunk, tasks):
-            checked += part
-            if bad is not None:
-                pool.terminate()
-                return bad, checked
+    for lo in range(1, subsets.full + 1, step):
+        masks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)
+        if kind.induced:  # a vertex mask picks the edges inside it
+            chosen = (masks[:, None] >> verts & 1).astype(bool)
+            rows = (((chosen @ member) == arity) @ word_bits)[:, None, :] & inc
+        else:
+            rows = masks[:, None, None] & inc
+            chosen = rows.any(axis=2)
+        size = chosen.sum(axis=1)
+        in_scope = (size >= 2) & ((size < n) | (kind.spanning & (masks != subsets.full)))
+        counted = in_scope | (not kind.induced)
+        if subsets.ordered:
+            chosen = chosen & ~rows.any(axis=2)
+        np.copyto(rows[:, :, 0], -1 - verts, where=~chosen)  # no twin among sentinels
+        if words == 1:
+            rows.sort(axis=1)
+        else:  # a row sharing only the first word may split a twin pair: then the engine decides
+            rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
+        twins = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
+        del rows  # before the next block's rows exist
+        for i in np.flatnonzero(in_scope & ~twins).tolist():
+            if subsets.test(int(masks[i])):
+                return int(masks[i]), checked + int(counted[: i + 1].sum())
+        checked += int(counted.sum())
     return None, checked
 
 
@@ -172,7 +184,6 @@ def _verify(
     mode: str = "exhaustive",
     samples: int = 0,
     seed: Optional[int] = None,
-    workers: int = 1,
     stratified: bool = False,
 ) -> VerificationReport:
     """Self-check the whole structure, then scan its sub-structures;
@@ -199,7 +210,7 @@ def _verify(
     if bad_perm is not None:
         return finish(False, 0, render(n, subsets.edges) + perm_line(bad_perm))
     if mode == "exhaustive":
-        bad, checked = _scan(subsets, workers)
+        bad, checked = _scan(subsets)
     else:
         bad, checked = _sample(subsets, samples, used_seed, stratified)
         if bad is not None:
@@ -246,9 +257,7 @@ def verify_strongly_minimal(
     and are skipped.  Sampled mode draws edge subsets at p=1/2 each,
     resampling invalid draws.
     """
-    return _verify_hypergraph(
-        h, "strong-minimal", "strong", mode, samples, seed, workers, stratified
-    )
+    return _verify_hypergraph(h, "strong-minimal", "strong", mode, samples, seed, stratified)
 
 
 def verify_minimal_involution_free(
@@ -268,13 +277,11 @@ def verify_minimal_involution_free(
     """
     kind = "invfree-nontrivial" if nontrivial_only else "invfree"
     return _verify_hypergraph(
-        h, "minimal-involution-free", kind, mode, samples, seed, workers, stratified
+        h, "minimal-involution-free", kind, mode, samples, seed, stratified
     )
 
 
 def verify_minimal_asymmetric(h: Hypergraph, workers: int = 1) -> VerificationReport:
     """Asymmetric, and every induced subgraph on 1 < n' < n vertices is
     symmetric.  Always exhaustive; refused beyond 20 vertices."""
-    return _verify_hypergraph(
-        h, "minimal-asymmetric", "induced", "exhaustive", 0, None, workers
-    )
+    return _verify_hypergraph(h, "minimal-asymmetric", "induced")

@@ -26,7 +26,7 @@ from minasym import (
     relabel,
     set_complement,
 )
-from minasym.autom import structure_engine
+from minasym.autom import _Engine, structure_engine
 from util import (
     oracle_automorphisms,
     oracle_automorphisms_rel,
@@ -149,6 +149,34 @@ def test_engine_involution_on_twin_free_even_groups():
     for h in (hypercube(5), cycle12, petersen):
         inv = structure_engine(h.n, h.edges, False).find_involution()
         assert is_involution(inv) and is_automorphism(h, inv)
+
+
+def test_one_walk_per_engine(monkeypatch):
+    # every query resumes the engine's one identity-path walk, in any
+    # order, and answers as it does on an engine of its own
+    walk, starts = _Engine._walk, []
+
+    def counted(self, state, depth, levels):
+        starts.append(depth)
+        return walk(self, state, depth, levels)
+
+    queries = ("find_nonidentity", "find_involution", "generators")
+    cycle12 = Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])
+    for h, size in ((cycle12, 24), (hypercube(4), 384)):
+        alone = [getattr(structure_engine(h.n, h.edges, False), q)() for q in queries]
+        monkeypatch.setattr(_Engine, "_walk", counted)
+        for order in (queries, queries[::-1]):
+            starts.clear()
+            engine = structure_engine(h.n, h.edges, False)
+            got = {q: getattr(engine, q)() for q in order}
+            assert [got[q] for q in queries] == alone
+            assert engine.order() == size
+            assert starts.count(0) == 1
+        starts.clear()
+        res = automorphisms(h)  # even order, no twins: generators, then the involution
+        assert starts.count(0) == 1
+        assert (res.group_order, res.involution_witness, list(res.generators)) == (size, alone[1], alone[2])
+        monkeypatch.setattr(_Engine, "_walk", walk)
 
 
 def test_known_group_orders():

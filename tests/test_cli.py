@@ -1,7 +1,9 @@
 """Command line behavior: formats, exit codes, file outputs."""
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 import minasym
 from minasym import (
+    Hypergraph,
     gen_figure2,
     gen_gk,
     is_asymmetric,
@@ -289,6 +292,22 @@ def test_search_guard_exits_three(capsys):
     assert "error" in err
 
 
+def test_wide_exhaustive_edge_scan_exits_three(capsys, tmp_path):
+    # an asymmetric 3-graph with 63 edges: its exhaustive edge scan is refused
+    pool = list(itertools.combinations(range(10), 3))
+    graph = Hypergraph(10, random.Random(1).sample(pool, 75)[:63], k=3)
+    assert is_asymmetric(graph)
+    path = tmp_path / "wide.hgf"
+    path.write_text(to_hgf(graph))
+    argv = ("verify", "--input", str(path), "--property", "strong-minimal", "--mode", "exhaustive")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "refused" in err
+    with pytest.raises(SystemExit) as exc:  # the flag is gone
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_search_missing_parameters(capsys):
     code, _, err = run(capsys, "search", "min-order", "--k", "3")
     assert code == 2
@@ -412,12 +431,3 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n(3) = 6\n"
-
-
-def test_workers_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("ASYM_WORKERS", "many")
-    code, _, err = run(
-        capsys, "verify", "--family", "figure2", "--property", "minimal-asymmetric"
-    )
-    assert code == 2
-    assert "ASYM_WORKERS" in err

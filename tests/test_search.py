@@ -25,6 +25,7 @@ from minasym import (
     write_checkpoint,
 )
 
+import minasym.search as search_mod
 from minasym.search import _CHUNK
 from util import oracle_automorphisms, oracle_nonidentity
 
@@ -127,6 +128,20 @@ def test_scan_classes_outcome():
     assert out7.iso_classes == 1044
     assert out7.asymmetric_classes == 152
     assert all(is_asymmetric(w) for w in out7.witnesses)
+
+
+def test_census_canonicalises_only_returned_classes(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return canonical_form(h)
+
+    monkeypatch.setattr(search_mod, "canonical_form", counted)
+    bare = scan_classes(2, 6, keep_witnesses=False)
+    assert (bare.iso_classes, bare.asymmetric_classes, bare.witnesses) == (156, 8, ())
+    assert calls == []
+    assert len(scan_classes(2, 6).witnesses) == len(calls) == 8
 
 
 def test_augmentation_agrees_with_scan_dedup():

@@ -165,8 +165,7 @@ def test_unknown_mode_rejected():
         verify_strongly_minimal(gen_gkt_circ(3, 1), mode="guess")
 
 
-def test_parallel_scan_agrees_with_serial(monkeypatch):
-    monkeypatch.setattr(verify_mod, "_PARALLEL_THRESHOLD", 16)
+def test_parallel_scan_agrees_with_serial():
     h = gen_gkt_circ(3, 2)
     serial = verify_strongly_minimal(h, workers=1)
     parallel = verify_strongly_minimal(h, workers=2)
@@ -214,10 +213,78 @@ def test_exhaustive_witness_is_a_fixed_point_of_the_shrink():
         h = Hypergraph(n, rng.sample(pool, rng.randrange(3, 11)), k=k)
         for kind in verify_mod._KINDS:
             subsets = verify_mod._Subsets(h.n, h.edges, False, kind)
-            bad, _ = verify_mod._scan(subsets, workers=1)
+            bad, _ = verify_mod._scan(subsets)
             if bad is None:
                 continue
             found[kind] += 1
             assert subsets.test(bad) is True
             assert verify_mod._shrink(subsets, bad) == bad, (h, kind)
     assert min(found.values()) >= 10, found
+
+
+def _ascending_scan(subsets):
+    """The scan by definition: every mask in ascending order through
+    `subsets.test`, counted as `_scan` counts them."""
+    checked = 0
+    for mask in range(1, subsets.full + 1):
+        bad = subsets.test(mask)
+        if bad is not None or not subsets.kind.induced:
+            checked += 1
+        if bad:
+            return mask, checked
+    return None, checked
+
+
+def _seventy_five_edges():
+    pool = list(itertools.combinations(range(10), 3))
+    return Hypergraph(10, random.Random(1).sample(pool, 75), k=3)
+
+
+def test_twin_sieve_scan_matches_the_ascending_loop():
+    rng = random.Random(73)
+    structures = []
+    for _ in range(300):
+        n = rng.randrange(3, 9)
+        pool = [e for size in (1, 2, 3) for e in itertools.combinations(range(n), size)]
+        structures.append((n, rng.sample(pool, rng.randrange(0, min(len(pool), 8) + 1)), False))
+    for _ in range(150):  # tuples may repeat a point; twins are isolated pairs only
+        n, arity = rng.randrange(2, 8), rng.randrange(1, 4)
+        pool = list(itertools.product(range(n), repeat=arity))
+        structures.append((n, rng.sample(pool, rng.randrange(0, min(len(pool), 9) + 1)), True))
+    # vertex masks wider than one int64 word
+    structures.append((70, rng.sample(list(itertools.combinations(range(70), 3)), 9), False))
+    found = {(kind, ordered): 0 for kind in verify_mod._KINDS for ordered in (False, True)}
+    for n, edges, ordered in structures:
+        for kind in verify_mod._KINDS if n <= 20 else ("strong", "invfree"):
+            subsets = verify_mod._Subsets(n, edges, ordered, kind)
+            expected = _ascending_scan(subsets)
+            assert verify_mod._scan(subsets) == expected, (n, edges, ordered, kind)
+            found[kind, ordered] += expected[0] is not None
+    assert min(found.values()) >= 20, found
+    # induced rows over two and three words; at mask 254 of the 4-graph
+    # two vertices agree on the first word only
+    pool = list(itertools.combinations(range(10), 4))
+    rng = random.Random(9)
+    wide = Hypergraph(10, rng.sample(pool, rng.randrange(63, len(pool))), k=4)
+    for h, expected in ((_seventy_five_edges(), (63, 57)), (wide, (254, 246))):
+        subsets = verify_mod._Subsets(h.n, h.edges, False, "induced")
+        assert verify_mod._scan(subsets) == _ascending_scan(subsets) == expected
+
+
+def test_wide_induced_scan_and_the_edge_scan_guard():
+    h = _seventy_five_edges()
+    rep = verify_minimal_asymmetric(h)
+    assert (rep.holds, rep.samples) == (False, 57)
+    # exhaustive edge scans stop at 62 edges, one int64 word
+    with pytest.raises(ResourceGuardError):
+        verify_strongly_minimal(h, mode="exhaustive")
+    with pytest.raises(ResourceGuardError):
+        verify_mod._scan(verify_mod._Subsets(h.n, h.edges[:63], False, "strong"))
+
+
+@pytest.mark.parametrize("k,t", [(3, 6), (4, 4), (3, 7), (5, 3)])
+def test_exhaustive_strong_minimality_certificates(k, t):
+    h = gen_gkt_circ(k, t)
+    rep = verify_strongly_minimal(h, mode="exhaustive")
+    assert rep.holds
+    assert rep.samples == 2**h.m - 1
