@@ -9,7 +9,7 @@ every reported automorphism is genuine regardless of refinement power.
 One walk down the identity path of the search tree, resumed by every
 query on the engine, finds the first non-identity automorphism, a
 generating set, and the group order as the product of the path's orbit
-sizes; its generators also prune the canonical-labeling search.  By
+sizes; run with leaf keeping on, it is also the canonical labeling.  By
 Cauchy's theorem an involution exists exactly when some orbit size on
 the path is even, and below the deepest even level every involution
 moves that level's path vertex, so `find_involution` searches only the
@@ -20,10 +20,11 @@ independent routes for cross-checking.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceGuardError
@@ -67,10 +68,13 @@ class _Engine:
         else:
             base = [0] * n
         self.base = self._refine(base)
-        # the engine's one walk, with its generators and finished levels so far
+        # the engine's one walk, its generators and finished levels so far,
+        # and the least leaf while canonical() keeps leaves
         self._gens: list[Perm] = []
         self._levels: list[tuple] = []
-        self._walker = self._walk(self.base, 0, self._levels)
+        self._walker = self._walk(self.base, ())
+        self._keep = False
+        self._least: Optional[tuple] = None
 
     # -- coloring ---------------------------------------------------
 
@@ -112,9 +116,6 @@ class _Engine:
         vcol[v] = marker
         return self._refine(vcol)
 
-    def _marker(self, depth: int) -> int:
-        return self.n + 1 + depth
-
     @staticmethod
     def _compatible(dom, cod) -> bool:
         return Counter(dom[0]) == Counter(cod[0]) and Counter(dom[1]) == Counter(cod[1])
@@ -147,32 +148,46 @@ class _Engine:
     def _cell_members(self, vcol, color) -> list[int]:
         return [v for v in range(self.n) if vcol[v] == color]
 
-    def _find_ext(self, dom, cod, depth: int) -> Optional[Perm]:
-        """First color-respecting automorphism extending dom->cod, if any."""
-        if not self._compatible(dom, cod):
-            return None
-        color = self._select_cell(dom[0])
+    def _find_ext(self, dom, cod, prefix: tuple) -> Optional[Perm]:
+        """First color-respecting automorphism extending dom->cod, if any.
+
+        A cod child in the orbit of a searched one, under the generators
+        that fix cod's individualized `prefix`, holds no match either.
+        While `canonical()` keeps leaves, nodes that cannot extend dom->cod
+        are searched on with dom None, as they may hold the least leaf.
+        """
+        if dom is not None and not self._compatible(dom, cod):
+            if not self._keep:
+                return None
+            dom = None
+        color = self._select_cell(cod[0])
         if color is None:
-            return self._extract(dom, cod)
-        t = self._cell_members(dom[0], color)[0]
-        marker = self._marker(depth)
-        dom_next = self._individualize(dom, t, marker)
+            self._offer(cod)
+            return None if dom is None else self._extract(dom, cod)
+        marker = self.n + 1 + len(prefix)
+        t = None if dom is None else self._cell_members(dom[0], color)[0]
+        dom_next = None if dom is None else self._individualize(dom, t, marker)
+        covered: set[int] = set()
         for v in self._cell_members(cod[0], color):
-            found = self._find_ext(dom_next, self._individualize(cod, v, marker), depth + 1)
+            if v in covered:
+                continue
+            found = self._find_ext(dom_next, self._individualize(cod, v, marker), prefix + (v,))
             if found is not None:
                 return found
+            covered |= _orbit_of(v, [g for g in self._gens if all(g[p] == p for p in prefix)])
         return None
 
     def find_nonidentity(self) -> Optional[Perm]:
         """First automorphism the identity-path walk finds, if any."""
         if not self._gens:
-            self._gens.extend(islice(self._walker, 1))
+            next(self._walker, None)
         return self._gens[0] if self._gens else None
 
     def generators(self) -> list[Perm]:
         """Generating set of the full color-preserving automorphism group,
         from the identity-path walk run to its end."""
-        self._gens.extend(self._walker)
+        for _ in self._walker:
+            pass
         return list(self._gens)
 
     def order(self) -> int:
@@ -180,39 +195,42 @@ class _Engine:
         self.generators()
         return math.prod(level[0] for level in self._levels)
 
-    def _walk(self, state, depth: int, levels: list[tuple]) -> Iterator[Perm]:
+    def _walk(self, state, prefix: tuple) -> Iterator[Perm]:
         """Walk the identity path, yielding each new coset representative
         as soon as it is found, deepest level first.
 
-        At each level, the generators found below generate the pointwise
-        stabilizer of the prefix and the path vertex t.  Each cell vertex
-        outside their orbit of t that an automorphism fixing the prefix
-        reaches becomes a new representative, so the final orbit is t's
-        full orbit under the prefix's stabilizer.  The finished level goes
-        to `levels` as (orbit size, state, t, cell, depth); the product of
-        the sizes is the group order by orbit-stabilizer.
+        Once the walk below a level is done, the generators found so far
+        generate the pointwise stabilizer of the prefix and the path vertex
+        t.  Each cell vertex outside their orbit of t that an automorphism
+        fixing the prefix reaches becomes a new representative, so the
+        final orbit is t's full orbit under the prefix's stabilizer; a
+        vertex in the orbit of one that reached none is skipped.  The
+        level goes to `_levels` as (orbit size, state, t, cell, prefix);
+        the product of the sizes is the group order by orbit-stabilizer.
         """
         color = self._select_cell(state[0])
         if color is None:
+            self._offer(state)
             return
         cell = self._cell_members(state[0], color)
         t = cell[0]
-        marker = self._marker(depth)
+        marker = self.n + 1 + len(prefix)
         on_path = self._individualize(state, t, marker)
-        gens: list[Perm] = []
-        for g in self._walk(on_path, depth + 1, levels):
-            gens.append(g)
-            yield g
-        orbit = _orbit_of(t, gens)
+        yield from self._walk(on_path, prefix + (t,))
+        orbit = _orbit_of(t, self._gens)
+        covered = set(orbit)
         for v in cell[1:]:
-            if v in orbit:
+            if v in covered:
                 continue
-            rep = self._find_ext(on_path, self._individualize(state, v, marker), depth + 1)
-            if rep is not None:
-                gens.append(rep)
-                yield rep
-                orbit = _orbit_of(t, gens)
-        levels.append((len(orbit), state, t, cell, depth))
+            rep = self._find_ext(on_path, self._individualize(state, v, marker), prefix + (v,))
+            if rep is None:
+                covered |= _orbit_of(v, self._gens)
+                continue
+            self._gens.append(rep)
+            yield rep
+            orbit = _orbit_of(t, self._gens)
+            covered |= orbit
+        self._levels.append((len(orbit), state, t, cell, prefix))
 
     def find_involution(self) -> Optional[Perm]:
         """An automorphism of order two, or None when the group order is odd.
@@ -224,19 +242,17 @@ class _Engine:
         has even order, and its half power is the answer.
         """
         while not any(level[0] % 2 == 0 for level in self._levels):
-            g = next(self._walker, None)
-            if g is None:
+            if next(self._walker, None) is None:
                 break
-            self._gens.append(g)
         even = next((level for level in self._levels if level[0] % 2 == 0), None)
         if even is None:
             return None
-        _, state, t, cell, depth = even
-        first, second = self._marker(depth), self._marker(depth + 1)
+        _, state, t, cell, prefix = even
+        first = self.n + 1 + len(prefix)
         for v in cell[1:]:
-            dom = self._individualize(self._individualize(state, t, first), v, second)
-            cod = self._individualize(self._individualize(state, v, first), t, second)
-            x = self._find_ext(dom, cod, depth + 2)
+            dom = self._individualize(self._individualize(state, t, first), v, first + 1)
+            cod = self._individualize(self._individualize(state, v, first), t, first + 1)
+            x = self._find_ext(dom, cod, prefix + (v, t))
             if x is not None:
                 return power(x, order(x) // 2)
         raise AssertionError("even orbit on the walk but no automorphism swaps its point")
@@ -244,37 +260,30 @@ class _Engine:
     # -- canonical labeling ------------------------------------------
 
     def canonical(self) -> tuple[tuple, Perm]:
-        """Minimal relabeled edge encoding over the search tree, with the
-        relabeling that realizes it.  At each node, the generators that
-        fix the individualized prefix prune the cell orbit-wise; on the
-        identity path they generate the prefix's whole stabilizer."""
-        gens = self.generators()
-        best: list = [None, None]
+        """Least relabeled edge encoding over the search tree, with the
+        relabeling that realizes it: the walk run with leaf keeping on,
+        afresh if it has begun.  Each subtree it skips is an automorphic
+        image of a searched one, whose leaves encode alike."""
+        if self._least is None:
+            if inspect.getgeneratorstate(self._walker) != inspect.GEN_CREATED:
+                self._gens, self._levels = [], []
+                self._walker = self._walk(self.base, ())
+            self._keep = True
+            self.generators()
+            self._keep = False
+        return self._least
 
-        def rec(state, depth, prefix):
-            color = self._select_cell(state[0])
-            if color is None:
-                enc = self._encode(state[0])
-                if best[0] is None or enc < best[0]:
-                    best[0], best[1] = enc, tuple(state[0])
-                return
-            usable = [g for g in gens if all(g[p] == p for p in prefix)]
-            marker = self._marker(depth)
-            covered: set[int] = set()
-            for v in self._cell_members(state[0], color):
-                if v not in covered:
-                    covered |= _orbit_of(v, usable)
-                    rec(self._individualize(state, v, marker), depth + 1, prefix + (v,))
-
-        rec(self.base, 0, ())
-        return best[0], best[1]
-
-    def _encode(self, sigma) -> tuple:
+    def _offer(self, leaf) -> None:
+        """Keep the leaf's relabeled edge encoding if it is the least yet."""
+        if not self._keep:
+            return
+        sigma = leaf[0]
         if self.ordered:
-            relabeled = sorted(tuple(sigma[v] for v in e) for e in self.edges)
+            enc = (self.n, tuple(sorted(tuple(sigma[v] for v in e) for e in self.edges)))
         else:
-            relabeled = sorted(tuple(sorted(sigma[v] for v in e)) for e in self.edges)
-        return (self.n, tuple(relabeled))
+            enc = (self.n, tuple(sorted(tuple(sorted(sigma[v] for v in e)) for e in self.edges)))
+        if self._least is None or enc < self._least[0]:
+            self._least = (enc, tuple(sigma))
 
 
 def _incidence(n: int, edges: Sequence[tuple[int, ...]], ordered: bool) -> list[tuple]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .autom import AutomResult, automorphisms
-from .constructions import build_family, tilde, tilde_labels
+from .constructions import _FAMILIES as _HG_TABLE, _build, build_family, tilde, tilde_labels
 from .errors import ResourceGuardError
 from .hypergraph import (
     Hypergraph,
@@ -23,17 +23,13 @@ from .hypergraph import (
     to_hgf,
     to_hgf_stream,
 )
+from .relations import _FAMILIES as _REL_TABLE
 from .relations import (
     automorphisms_rel,
     cyclic_closure,
-    gen_hcirc,
-    gen_r3t,
-    gen_single_arc,
-    hcirc_labels,
     is_critical_asymmetric,
     multiplicity,
     parse_rel,
-    r3t_labels,
     to_rel,
     verify_minimal_asymmetric_rel,
 )
@@ -52,9 +48,8 @@ from .verify import (
     verify_strongly_minimal,
 )
 
-_HG_FAMILIES = ("gkt", "gkt-circ", "gk", "gk-star", "gks", "figure2", "asym-witness")
-_REL_FAMILIES = ("single-arc", "r3t", "hcirc")
-_GEN_FAMILIES = _HG_FAMILIES + ("tilde",) + _REL_FAMILIES
+_HG_FAMILIES = tuple(_HG_TABLE)
+_GEN_FAMILIES = _HG_FAMILIES + ("tilde",) + tuple(_REL_TABLE)
 _PROPERTIES = (
     "asymmetric",
     "minimal-asymmetric",
@@ -98,36 +93,18 @@ def _aut_text(res: AutomResult) -> str:
 
 
 def _cmd_gen(args) -> int:
-    fam = args.family
+    fam, rel = args.family, args.family in _REL_TABLE
     if fam == "tilde":
         if args.input is None:
             raise ValueError("family 'tilde' needs --input with a base graph")
         base = parse_hgf(_read_text(args.input))
-        g = tilde(base)
-        _emit(to_hgf(g), args.output)
-        if args.labels_out:
-            labels = tilde_labels([f"v{i}" for i in range(base.n)], base.m)
-            _emit(serialize_labels(labels), args.labels_out)
-        return 0
-    if fam in _REL_FAMILIES:
-        if fam == "single-arc":
-            r, labels = gen_single_arc(), ("v0", "v1")
-        elif fam == "r3t":
-            if args.t is None:
-                raise ValueError("family 'r3t' needs --t")
-            r, labels = gen_r3t(args.t), r3t_labels(args.t)
-        else:
-            if args.k is None or args.t is None:
-                raise ValueError("family 'hcirc' needs --k and --t")
-            r, labels = gen_hcirc(args.k, args.t), hcirc_labels(args.k, args.t)
-        _emit(to_rel(r), args.output)
-        if args.labels_out:
-            _emit(serialize_labels(labels), args.labels_out)
-        return 0
-    build = build_family(fam, k=args.k, t=args.t, s=args.s, n=args.n)
-    _emit(to_hgf(build.graph), args.output)
+        built, labels = tilde(base), tilde_labels([f"v{i}" for i in range(base.n)], base.m)
+    else:
+        given = {"k": args.k, "t": args.t, "s": args.s, "n": args.n}
+        built, labels = _build(_REL_TABLE if rel else _HG_TABLE, fam, given)
+    _emit(to_rel(built) if rel else to_hgf(built), args.output)
     if args.labels_out:
-        _emit(serialize_labels(build.labels), args.labels_out)
+        _emit(serialize_labels(labels), args.labels_out)
     return 0
 
 

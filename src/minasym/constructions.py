@@ -254,14 +254,18 @@ _FAMILIES = {
 }
 
 
-def build_family(family: str, k=None, t=None, s=None, n=None) -> FamilyBuild:
-    """Family registry keyed by the CLI's family tokens."""
-    if family not in _FAMILIES:
+def _build(table: dict, family: str, given: dict):
+    """Run `family`'s builder from a family table on its parameters."""
+    if family not in table:
         raise ValueError(f"unknown family {family!r}")
-    params, build = _FAMILIES[family]
-    given = {"k": k, "t": t, "s": s, "n": n}
+    params, build = table[family]
     for name in params:
         if given[name] is None:
             raise ValueError(f"family {family!r} needs --{name}")
-    g, labels = build(*(given[name] for name in params))
+    return build(*(given[name] for name in params))
+
+
+def build_family(family: str, k=None, t=None, s=None, n=None) -> FamilyBuild:
+    """Family registry keyed by the CLI's family tokens."""
+    g, labels = _build(_FAMILIES, family, {"k": k, "t": t, "s": s, "n": n})
     return FamilyBuild(g, tuple(labels))

@@ -159,6 +159,14 @@ def hcirc_labels(k: int, t: int) -> tuple[str, ...]:
     return _build_hcirc(k, t)[1]
 
 
+# family token -> (the parameters it needs, builder of (structure, labels))
+_FAMILIES = {
+    "single-arc": ((), lambda: (gen_single_arc(), ("v0", "v1"))),
+    "r3t": (("t",), lambda t: (gen_r3t(t), r3t_labels(t))),
+    "hcirc": (("k", "t"), lambda k, t: (gen_hcirc(k, t), hcirc_labels(k, t))),
+}
+
+
 def verify_minimal_asymmetric_rel(r: RelationalStructure) -> VerificationReport:
     """Asymmetric, with every induced substructure on 1 < n' < n points
     symmetric.  Induced substructures only; always exhaustive, and

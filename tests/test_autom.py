@@ -4,17 +4,20 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from minasym import (
     Hypergraph,
+    RelationalStructure,
     ResourceGuardError,
     automorphisms,
     automorphisms_stabilizing,
     brute_force_automorphisms,
     canonical_form,
     canonical_key,
+    canonical_key_rel,
     compose,
     degrees,
     find_nonidentity_automorphism,
@@ -30,6 +33,7 @@ from minasym.autom import _Engine, structure_engine
 from util import (
     oracle_automorphisms,
     oracle_automorphisms_rel,
+    oracle_isomorphic,
     random_mixed,
     random_relational,
     random_uniform,
@@ -47,6 +51,14 @@ def disjoint_union(*parts: Hypergraph) -> Hypergraph:
         edges += [tuple(v + offset for v in e) for e in h.edges]
         offset += h.n
     return Hypergraph(offset, edges)
+
+
+def frucht_graph() -> Hypergraph:
+    """The Frucht graph: cubic, on 12 vertices, with no automorphism but
+    the identity.  A Hamiltonian cycle plus chords in LCF notation."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    return Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)]
+                      + [(i, (i + d) % 12) for i, d in enumerate(lcf)])
 
 
 def torus_graph(steps) -> Hypergraph:
@@ -153,18 +165,29 @@ def test_engine_involution_on_twin_free_even_groups():
 
 def test_one_walk_per_engine(monkeypatch):
     # every query resumes the engine's one identity-path walk, in any
-    # order, and answers as it does on an engine of its own
+    # order, and answers as it does on an engine of its own; canonical()
+    # is that walk, so the queries after it walk nothing
     walk, starts = _Engine._walk, []
 
-    def counted(self, state, depth, levels):
-        starts.append(depth)
-        return walk(self, state, depth, levels)
+    def counted(self, state, prefix):
+        starts.append(len(prefix))
+        return walk(self, state, prefix)
 
     queries = ("find_nonidentity", "find_involution", "generators")
     cycle12 = Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])
     for h, size in ((cycle12, 24), (hypercube(4), 384)):
         alone = [getattr(structure_engine(h.n, h.edges, False), q)() for q in queries]
+        canon = structure_engine(h.n, h.edges, False).canonical()
         monkeypatch.setattr(_Engine, "_walk", counted)
+        starts.clear()
+        engine = structure_engine(h.n, h.edges, False)
+        assert engine.canonical() == canon
+        assert [engine.generators(), engine.order(), engine.find_involution()] == [alone[2], size, alone[1]]
+        assert engine.find_nonidentity() == alone[0] and engine.canonical() == canon
+        assert starts.count(0) == 1
+        engine = structure_engine(h.n, h.edges, False)
+        engine.generators()
+        assert engine.canonical() == canon  # a walk already begun runs afresh
         for order in (queries, queries[::-1]):
             starts.clear()
             engine = structure_engine(h.n, h.edges, False)
@@ -177,6 +200,29 @@ def test_one_walk_per_engine(monkeypatch):
         assert starts.count(0) == 1
         assert (res.group_order, res.involution_witness, list(res.generators)) == (size, alone[1], alone[2])
         monkeypatch.setattr(_Engine, "_walk", walk)
+
+
+def test_canonical_labeling_is_the_walk(monkeypatch):
+    """canonical() searches no tree of its own: it makes no more
+    refinements than the walk behind generators() on a fresh engine."""
+    refine, calls = _Engine._refine, []
+
+    def counted(self, vcol):
+        calls.append(1)
+        return refine(self, vcol)
+
+    cycle12 = Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])
+    k9_3 = Hypergraph(9, itertools.combinations(range(9), 3))
+    monkeypatch.setattr(_Engine, "_refine", counted)
+    for name, h in (("Frucht", frucht_graph()), ("C_12", cycle12), ("Q_5", hypercube(5)),
+                    ("K_9^(3)", k9_3)):
+        counts = []
+        for query in ("generators", "canonical"):
+            engine = structure_engine(h.n, h.edges, False)
+            calls.clear()
+            getattr(engine, query)()
+            counts.append(len(calls))
+        assert counts[1] <= counts[0], (name, counts)
 
 
 def test_known_group_orders():
@@ -246,6 +292,16 @@ def test_find_nonidentity_none_only_when_asymmetric():
             assert is_automorphism(h, p)
 
 
+def random_cubic(n: int, rng: random.Random) -> Hypergraph:
+    """A random simple cubic graph on n vertices, by rejection pairing."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Hypergraph(n, edges)
+
+
 def test_canonical_key_is_isomorphism_invariant():
     rng = random.Random(53)
     for trial in range(1000):
@@ -253,6 +309,75 @@ def test_canonical_key_is_isomorphism_invariant():
         p = list(range(h.n))
         rng.shuffle(p)
         assert canonical_key(h) == canonical_key(relabel(h, tuple(p)))
+    # refinement cannot split a regular graph, so the least leaf often
+    # lies below a node that cannot extend the identity path
+    for _ in range(24):
+        h = random_cubic(rng.choice((8, 10, 12, 14, 16)), rng)
+        for _ in range(3):
+            g = relabel(h, tuple(rng.sample(range(h.n), h.n)))
+            assert (canonical_key(g), canonical_form(g)) == (canonical_key(h), canonical_form(h))
+
+
+def test_canonical_keys_match_the_isomorphism_oracle():
+    """Equal keys exactly when the n! oracle finds an isomorphism, on
+    relabelled copies and on random mates with the same vertex count and
+    edge sizes (or arity and tuple count)."""
+    rng = random.Random(61)
+    outcomes = Counter()
+    for trial in range(240):
+        a = random_uniform(rng, n_hi=6) if trial % 2 else random_mixed(rng, n_hi=6)
+        p = rng.sample(range(a.n), a.n)
+        if trial % 3:
+            sizes = Counter(map(len, a.edges))
+            b = Hypergraph(a.n, [e for size, count in sizes.items() for e in rng.sample(
+                list(itertools.combinations(range(a.n), size)), count)])
+        else:
+            b = relabel(a, tuple(p))
+        same = oracle_isomorphic(a, b)
+        assert (canonical_key(a) == canonical_key(b)) == same, (a, b)
+        outcomes["H", same] += 1
+    for trial in range(160):
+        r = random_relational(rng)
+        p = rng.sample(range(r.n), r.n)
+        if trial % 3:
+            pool = list(itertools.permutations(range(r.n), r.arity))
+            q = RelationalStructure(r.n, r.arity, rng.sample(pool, r.m))
+        else:
+            q = RelationalStructure(r.n, r.arity, [tuple(p[v] for v in t) for t in r.tuples])
+        same = oracle_isomorphic(r, q)
+        assert (canonical_key_rel(r) == canonical_key_rel(q)) == same, (r, q)
+        outcomes["R", same] += 1
+    assert min(outcomes.values()) >= 30 and len(outcomes) == 4, outcomes
+
+
+def test_canonical_key_of_the_rigid_frucht_graph():
+    """Equal keys across relabellings of the Frucht graph, too large for
+    the n! oracle; a degree-preserving edge switch that changes the
+    triangle count gives another key."""
+    rng = random.Random(12)
+    h = frucht_graph()
+    key = canonical_key(h)
+    for _ in range(6):
+        g = relabel(h, tuple(rng.sample(range(12), 12)))
+        assert canonical_key(g) == key
+        assert canonical_form(g) == canonical_form(h)
+
+    def triangles(g):
+        adj = {v: {w for e in g.edges if v in e for w in e} - {v} for v in range(g.n)}
+        return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
+
+    edges = set(h.edges)
+    for (a, b), (c, d) in itertools.combinations(h.edges, 2):
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) < 4 or ac in edges or bd in edges:
+            continue
+        mate = Hypergraph(12, (edges - {(a, b), (c, d)}) | {ac, bd})
+        if triangles(mate) != triangles(h):
+            assert degrees(mate) == degrees(h)
+            assert canonical_key(mate) != key
+            break
+    else:
+        raise AssertionError("no triangle-changing switch found")
 
 
 def test_canonical_key_separates_non_isomorphic():

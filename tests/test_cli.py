@@ -4,6 +4,8 @@ import itertools
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,18 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "--family", "tilde")
     assert code == 2
+
+
+def test_gen_names_the_family_and_the_missing_flag(capsys):
+    for argv, flag in (
+        (("--family", "r3t"), "--t"),
+        (("--family", "hcirc", "--t", "2"), "--k"),
+        (("--family", "hcirc", "--k", "4"), "--t"),
+        (("--family", "gks", "--k", "6"), "--s"),
+    ):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert f"family {argv[1]!r} needs {flag}" in err
 
 
 def test_gen_unknown_family_is_usage_error(capsys):
@@ -431,3 +445,32 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n(3) = 6\n"
+
+
+def _readme_tour():
+    """(argv, expected stdout fragments) for each `minasym` line in the
+    `sh` blocks of the README's CLI tour, in order.  A `# ...` comment
+    after a command, inline or on the lines below it, is expected output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in re.findall(r"```sh\n(.*?)```", tour, re.S):
+        for line in block.splitlines():
+            if line.startswith("minasym "):
+                command, _, comment = line.partition("#")
+                steps.append((shlex.split(command)[1:], [comment.strip()] if comment else []))
+            elif line.startswith("# "):
+                steps[-1][1].append(line[2:])
+    return steps
+
+
+def test_readme_cli_tour(capsys, monkeypatch, tmp_path):
+    steps = _readme_tour()
+    assert len(steps) == 12
+    assert sum(len(expected) for _, expected in steps) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in steps:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        for fragment in expected:
+            assert fragment in out, (argv, fragment)

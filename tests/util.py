@@ -123,6 +123,22 @@ def oracle_minimal_asymmetric(h: Hypergraph) -> bool:
     return True
 
 
+def oracle_isomorphic(a, b) -> bool:
+    """Whether some permutation maps the edges (or, for relational
+    structures, the tuples) of `a` onto those of `b`, by the n!
+    definition."""
+    if isinstance(a, RelationalStructure):
+        ea, eb, image = a.tuples, b.tuples, lambda p, e: tuple(p[v] for v in e)
+    else:
+        ea, eb, image = a.edges, b.edges, lambda p, e: tuple(sorted(p[v] for v in e))
+    if a.n != b.n or len(ea) != len(eb):
+        return False
+    target = sorted(eb)
+    return any(
+        sorted(image(p, e) for e in ea) == target for p in itertools.permutations(range(a.n))
+    )
+
+
 def oracle_automorphisms_rel(r: RelationalStructure) -> list[tuple[int, ...]]:
     target = sorted(r.tuples)
     out = []
