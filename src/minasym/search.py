@@ -6,9 +6,8 @@ transpositions, where an orbit of n! masks is an asymmetric class, and
 canonical augmentation growing one edge at a time.  Their class counts
 must agree; tests enforce it.
 
-`_scan_labeled` sieves each bitmask against the bit permutations of
-all vertex transpositions; only the masks no transposition fixes reach
-the backtracking engine.
+`_scan_labeled` takes its witness from the same orbit minima, so no
+automorphism query is made per mask.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autom import canonical_form, find_nonidentity_automorphism, structure_engine
+from .autom import canonical_form, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
 from .perms import Perm, transposition
@@ -68,8 +67,8 @@ def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 class _Remap:
-    """A bit permutation on edge-index masks (below 2^24 under the scan
-    guard), applied via two int32 tables."""
+    """The bit permutation a vertex permutation induces on edge-index
+    masks (below 2^24 under the scan guard), via two int32 tables."""
 
     def __init__(self, perm: Perm, edges: Sequence[tuple[int, ...]]):
         self.lo_bits = len(edges) // 2
@@ -104,18 +103,17 @@ def _scan_labeled(
     """Scan labeled edge sets ascending for an asymmetric instance.
 
     Returns (scanned, first asymmetric mask or None, total space size).
-    A mask some vertex transposition fixes is symmetric; the engine
-    decides the rest.
+    A mask is asymmetric when its orbit has n! masks, in an orbit census
+    of the whole space that runs first, whatever `start_mask`.
     With `half` set, masks with more than C/2 edges are skipped; the
     edge-set complement within the full k-subset family preserves the
     automorphism group, so the skipped half is covered by the scanned
     one.
     """
-    edges = _edge_space(n, k)
-    c = len(edges)
-    sieve = [_Remap(transposition(n, a, b), edges) for a, b in combinations(range(n), 2)]
-    total = 1 << c
-    limit = c // 2
+    least, census = _orbits(k, n)
+    asym = np.array([mask for mask, asymmetric in census if asymmetric], dtype=np.int32)
+    total = least.size
+    limit = math.comb(n, k) // 2
     # Masks a scan from 0 counts before start_mask.  With `half`, for the
     # i-th set bit b of start_mask from the top: the masks that share its
     # bits above b, clear b, and set at most limit - i bits below it.
@@ -127,14 +125,10 @@ def _scan_labeled(
         block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
         if half:
             block = block[np.bitwise_count(block) <= limit]
-        if block.size:
-            sym = np.zeros(block.size, dtype=bool)
-            for remap in sieve:
-                np.logical_or(sym, remap.apply(block) == block, out=sym)
-            scanned += int(block.size)
-            for mask in block[~sym].tolist():
-                if find_nonidentity_automorphism(_mask_graph(n, k, edges, mask)) is None:
-                    return scanned, mask, total
+        scanned += int(block.size)
+        hits = block[np.isin(least[block], asym)]
+        if hits.size:
+            return scanned, int(hits[0]), total
         if checkpoint_path is not None:
             write_checkpoint(
                 checkpoint_path, k, n, half, min(lo + _CHUNK, total) - 1, before + scanned
@@ -173,14 +167,18 @@ def min_asymmetric_order(
 
 def _orbit_census(k: int, n: int) -> list[tuple[int, bool]]:
     """(orbit-minimum mask, asymmetric) for each isomorphism class of
-    k-graphs on n vertices, in mask order.
+    k-graphs on n vertices, in mask order."""
+    return _orbits(k, n)[1]
+
+
+def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
+    """`least`, each mask's orbit minimum by mask, and `_orbit_census`.
 
     Sweeping `least[x] = min(least[x], least[g(x)])` over the adjacent
     transpositions g, with pointer jumping, to a fixpoint leaves each
     mask's orbit minimum in `least` (the orbit algorithm on the Schreier
     graph; Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-    2005, 4.1).  By orbit-stabiliser an orbit of n! masks is an
-    asymmetric class.
+    2005, 4.1).  By orbit-stabiliser an orbit of n! masks is asymmetric.
     """
     edges = _edge_space(n, k)
     total = 1 << len(edges)
@@ -201,8 +199,9 @@ def _orbit_census(k: int, n: int) -> list[tuple[int, bool]]:
     # Orbit minima are the fixed points of least; an orbit's size is how many masks point at it.
     reps = np.concatenate([np.flatnonzero(least[lo:hi] == np.arange(lo, hi)) + lo for lo, hi in spans])
     sizes = sum(np.bincount(np.searchsorted(reps, least[lo:hi]), minlength=reps.size) for lo, hi in spans)
+    # Python ints: n! passes the int64 range from n = 21.
     order = math.factorial(n)
-    return [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
+    return least, [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
 
 
 def _canonical_classes(k: int, n: int, masks: Sequence[int]) -> list[Hypergraph]:

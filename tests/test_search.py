@@ -25,13 +25,15 @@ from minasym import (
     write_checkpoint,
 )
 
+import minasym.autom as autom_mod
 import minasym.search as search_mod
 from minasym.search import _CHUNK
 from util import oracle_automorphisms, oracle_nonidentity
 
 
 def test_full_scan_is_complete_when_symmetric():
-    for k, n, total in ((3, 5, 1024), (1, 7, 128), (6, 7, 128)):
+    # (22, 21): no 22-edges, one mask, and 21! passes the int64 range
+    for k, n, total in ((3, 5, 1024), (1, 7, 128), (6, 7, 128), (22, 21, 1)):
         scan = verify_lemma_all_symmetric(k, n)
         assert scan.all_symmetric
         assert scan.witness is None
@@ -47,6 +49,19 @@ def test_scan_finds_an_asymmetric_witness():
     assert scan.total_labeled == 1 << 15
 
 
+def test_scan_makes_no_automorphism_query_per_mask(monkeypatch):
+    """The witness and count come from the orbit census alone."""
+    scan = verify_lemma_all_symmetric(2, 6)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("automorphism engine queried")
+
+    monkeypatch.setattr(autom_mod, "_nonidentity", no_engine)
+    again = verify_lemma_all_symmetric(2, 6)
+    assert (again.scanned, again.witness) == (scan.scanned, scan.witness)
+    assert scan.scanned == 1 << 15 and oracle_nonidentity(scan.witness) is None
+
+
 def test_half_scan_respects_the_complement_bound():
     scan = verify_lemma_all_symmetric(2, 6, half=True)
     assert not scan.all_symmetric
@@ -54,12 +69,23 @@ def test_half_scan_respects_the_complement_bound():
     assert scan.scanned < scan.total_labeled
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_half_scan_witness_is_the_first_asymmetric_mask(k):
-    """The transposition sieve plus the engine against the n! oracle:
-    the witness is the first half-space mask with no non-identity
-    automorphism, and the scan counts every half-space mask of the
-    blocks up to the witness's."""
+@pytest.mark.parametrize(
+    "k, half, resume",
+    [
+        # ids: the plain k is the half-space scan from mask 0
+        pytest.param(k, half, resume, id=f"{k}{'' if half else '-full'}{'-resume' if resume else ''}")
+        for k in (2, 3, 4)
+        for half in (True, False)
+        for resume in (False, True)
+    ],
+)
+def test_half_scan_witness_is_the_first_asymmetric_mask(k, half, resume):
+    """The orbit census against the n! oracle: the witness is the first
+    mask of the scanned space, from `start_mask` on, with no
+    non-identity automorphism, and the scan counts every mask of that
+    space in the blocks up to the witness's, counted from `start_mask`.
+    A resumed scan starts one past the first witness, off the block
+    boundaries."""
     n = 6
     edges = list(itertools.combinations(range(n), k))
     c, limit = len(edges), len(edges) // 2
@@ -67,12 +93,18 @@ def test_half_scan_witness_is_the_first_asymmetric_mask(k):
     def graph(mask):
         return Hypergraph(n, [e for i, e in enumerate(edges) if mask >> i & 1], k=k)
 
-    half_space = [mask for mask in range(1 << c) if bin(mask).count("1") <= limit]
-    first = next(mask for mask in half_space if oracle_nonidentity(graph(mask)) is None)
-    scan = verify_lemma_all_symmetric(k, n, half=True)
+    space = [mask for mask in range(1 << c) if not half or bin(mask).count("1") <= limit]
+
+    def first_from(start):
+        return next(mask for mask in space if mask >= start and oracle_nonidentity(graph(mask)) is None)
+
+    start = first_from(0) + 1 if resume else 0
+    first = first_from(start)
+    scan = verify_lemma_all_symmetric(k, n, half=half, start_mask=start)
     assert not scan.all_symmetric
     assert sum(1 << edges.index(e) for e in scan.witness.edges) == first
-    assert scan.scanned == sum(1 for mask in half_space if mask // _CHUNK <= first // _CHUNK)
+    end = start + ((first - start) // _CHUNK + 1) * _CHUNK
+    assert scan.scanned == sum(1 for mask in space if start <= mask < end)
 
 
 def test_min_order_small_uniformities():
