@@ -23,6 +23,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
@@ -273,6 +274,12 @@ class _Engine:
             self._keep = False
         return self._least
 
+    def close(self) -> None:
+        """End the walk.  A walk begun and not finished, or never begun,
+        holds its engine in a reference cycle (engine -> walk frame ->
+        engine); closed, the engine is freed by reference counting."""
+        self._walker.close()
+
     def _offer(self, leaf) -> None:
         """Keep the leaf's relabeled edge encoding if it is the least yet."""
         if not self._keep:
@@ -427,16 +434,20 @@ def _twin_swap(
 
 def _nonidentity(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
     """A non-identity automorphism of the raw structure, or None."""
-    return _twin_swap(n, edges, ordered, stabilize) or structure_engine(
-        n, edges, ordered, stabilize
-    ).find_nonidentity()
+    swap = _twin_swap(n, edges, ordered, stabilize)
+    if swap is not None:
+        return swap
+    with closing(structure_engine(n, edges, ordered, stabilize)) as engine:
+        return engine.find_nonidentity()
 
 
 def _involution(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
     """An order-two automorphism of the raw structure, or None."""
-    return _twin_swap(n, edges, ordered, stabilize) or structure_engine(
-        n, edges, ordered, stabilize
-    ).find_involution()
+    swap = _twin_swap(n, edges, ordered, stabilize)
+    if swap is not None:
+        return swap
+    with closing(structure_engine(n, edges, ordered, stabilize)) as engine:
+        return engine.find_involution()
 
 
 def find_nonidentity_automorphism(

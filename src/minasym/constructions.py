@@ -214,11 +214,12 @@ def gen_asym_witness_2graph(n: int) -> Optional[Hypergraph]:
     """Deterministic asymmetric 2-graph on n vertices, or None.
 
     Searches isomorphism classes by rising edge count and returns the
-    representative with the smallest canonical key at the first count
-    where asymmetric graphs appear.  None exactly when n < 6: every
+    canonical form of the class with the smallest canonical key at the
+    first count where asymmetric graphs appear, whichever labelled
+    representative the search keeps.  None exactly when n < 6: every
     graph on at most 5 vertices has a non-identity automorphism.
     """
-    from .autom import canonical_key, is_asymmetric
+    from .autom import canonical_form, canonical_key, is_asymmetric
     from .search import classes_by_edge_count
 
     if n < 2:
@@ -229,7 +230,7 @@ def gen_asym_witness_2graph(n: int) -> Optional[Hypergraph]:
     for _, reps in classes_by_edge_count(n, 2):
         hits = [(canonical_key(g), g) for g in reps if is_asymmetric(g)]
         if hits:
-            found = min(hits)[1]
+            found = canonical_form(min(hits)[1])
             break
     _WITNESS_CACHE[n] = found
     return found

@@ -4,7 +4,10 @@ Two independent enumeration strategies cover the same ground: orbit
 minima propagated over all labeled edge sets along the adjacent
 transpositions, where an orbit of n! masks is an asymmetric class, and
 canonical augmentation growing one edge at a time.  Their class counts
-must agree; tests enforce it.
+must agree; tests enforce it.  Augmentation keeps a child when its
+added edge lies in the orbit of the canonical deletion, picked by
+endpoint degrees, then refined edge colours, then the canonical
+labelling, which runs only on the children that tie twice.
 
 `_scan_labeled` takes its witness from the same orbit minima, so no
 automorphism query is made per mask.
@@ -15,16 +18,17 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .autom import canonical_form, structure_engine
 from .errors import ResourceGuardError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, degrees
 from .perms import Perm, transposition
 from .verify import verify_minimal_asymmetric
 
@@ -253,15 +257,45 @@ def _edge_orbit(
     return orbit
 
 
-def _augmentation_accepts(child: Hypergraph, added: tuple[int, ...]) -> bool:
-    """Canonical-deletion test: the new edge must lie in the same
-    automorphism orbit as the edge with the largest canonical image."""
-    engine = structure_engine(child.n, child.edges, False)
-    _, sigma = engine.canonical()
-    deletion = max(child.edges, key=lambda e: tuple(sorted(sigma[v] for v in e)))
-    if deletion == added:
-        return True
-    return deletion in _edge_orbit(added, engine.generators())
+def _augmentation_accepts(parent: Hypergraph, added: tuple[int, ...], deg: Sequence[int]) -> bool:
+    """Canonical-deletion test for the child `parent` + `added`, where
+    `deg` holds the parent's vertex degrees.
+
+    The canonical deletion is picked in three isomorphism-invariant
+    steps, each narrowing a kept set of the child's edges:
+    1. the edges with the largest sorted tuple of endpoint degrees,
+       read off `deg` and `added` before the child is built;
+    2. the edges with the largest refined colour of the child's engine
+       (`base[1]`: refinement ranks sorted signatures from a uniform
+       colouring, so isomorphic children colour alike);
+    3. the edge with the largest image under the canonical labelling.
+    The child is rejected as soon as `added` leaves the kept set and
+    accepted as soon as it is the only edge left; after step 3 it must
+    lie in the automorphism orbit of the chosen edge (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998).
+    """
+    edges = parent.edges + (added,)
+    last = len(edges) - 1
+    child_deg = list(deg)
+    for v in added:
+        child_deg[v] += 1
+    kept = _best(range(len(edges)), lambda i: sorted(child_deg[v] for v in edges[i]))
+    if kept[-1] != last or len(kept) == 1:
+        return kept == [last]
+    with closing(structure_engine(parent.n, edges, False)) as engine:
+        kept = _best(kept, engine.base[1].__getitem__)
+        if kept[-1] != last or len(kept) == 1:
+            return kept == [last]
+        _, sigma = engine.canonical()
+        deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
+        return deletion == added or deletion in _edge_orbit(added, engine.generators())
+
+
+def _best(kept: Iterable[int], score) -> list[int]:
+    """The indices in `kept`, ascending, whose score is the largest."""
+    scores = {i: score(i) for i in kept}
+    top = max(scores.values())
+    return [i for i, s in scores.items() if s == top]
 
 
 def classes_by_edge_count(
@@ -283,6 +317,7 @@ def classes_by_edge_count(
         grown: list[Hypergraph] = []
         for parent in current:
             gens = structure_engine(n, parent.edges, False).generators()
+            deg = degrees(parent)
             present = parent.edge_set()
             candidates = [e for e in all_edges if e not in present]
             visited: set[tuple[int, ...]] = set()
@@ -290,9 +325,8 @@ def classes_by_edge_count(
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
-                child = Hypergraph(n, parent.edges + (cand,), k=k)
-                if _augmentation_accepts(child, cand):
-                    grown.append(child)
+                if _augmentation_accepts(parent, cand, deg):
+                    grown.append(Hypergraph(n, parent.edges + (cand,), k=k))
         m += 1
         yield m, grown
         current = grown

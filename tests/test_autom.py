@@ -1,9 +1,11 @@
 """Automorphism engine against the n! oracle."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -29,6 +31,7 @@ from minasym import (
     relabel,
     set_complement,
 )
+import minasym.autom as autom_mod
 from minasym.autom import _Engine, structure_engine
 from util import (
     oracle_automorphisms,
@@ -423,3 +426,25 @@ def test_stabilizer_rejects_bad_vertices():
     h = Hypergraph(3, [(0, 1)])
     with pytest.raises(ValueError):
         automorphisms_stabilizing(h, [0, 5])
+
+
+def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
+    # a walk suspended after its first automorphism, or at the first even
+    # level, holds its engine in a cycle unless the query closes it
+    built = []
+
+    def recorded(*args):
+        engine = structure_engine(*args)
+        built.append(weakref.ref(engine))
+        return engine
+
+    monkeypatch.setattr(autom_mod, "structure_engine", recorded)
+    cycle = Hypergraph(7, [(i, (i + 1) % 7) for i in range(7)])
+    gc.disable()
+    try:
+        assert find_nonidentity_automorphism(cycle) == (0, 6, 5, 4, 3, 2, 1)
+        assert has_involution(cycle) == (0, 6, 5, 4, 3, 2, 1)
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        gc.enable()

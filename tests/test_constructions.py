@@ -6,6 +6,7 @@ from minasym import (
     automorphisms,
     automorphisms_stabilizing,
     build_family,
+    canonical_form,
     degrees,
     gen_asym_witness_2graph,
     gen_figure2,
@@ -165,6 +166,13 @@ def test_asym_witness_smallest_cases():
         assert is_asymmetric(w)
     with pytest.raises(ValueError):
         gen_asym_witness_2graph(0)
+
+
+def test_asym_witness_is_its_own_canonical_form():
+    # so it does not depend on the representative augmentation keeps
+    for n in range(6, 10):
+        w = gen_asym_witness_2graph(n)
+        assert canonical_form(w) == w
 
 
 def test_generators_are_deterministic():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from minasym import (
     canonical_form,
     canonical_key,
     classes_by_edge_count,
+    degrees,
     enumerate_k_graphs,
     find_minimal_asymmetric,
     gen_figure2,
@@ -28,7 +30,7 @@ from minasym import (
 import minasym.autom as autom_mod
 import minasym.search as search_mod
 from minasym.search import _CHUNK
-from util import oracle_automorphisms, oracle_nonidentity
+from util import oracle_automorphisms, oracle_nonidentity, perm_image
 
 
 def test_full_scan_is_complete_when_symmetric():
@@ -210,6 +212,88 @@ def test_augmentation_is_duplicate_free():
         assert len(keys) == len(layer)
         total += len(layer)
     assert total == 156
+
+
+def test_augmentation_pins_the_graphs_on_seven_vertices():
+    # OEIS A000088 and A003400 at n = 7, through augmentation
+    levels = [reps for _, reps in classes_by_edge_count(7, 2)]
+    assert len(levels) == 22
+    assert sum(map(len, levels)) == 1044
+    assert sum(is_asymmetric(r) for reps in levels for r in reps) == 152
+
+
+def _accepted(h):
+    """The edges of h that the canonical-deletion test accepts as the
+    edge added last."""
+    accepted = []
+    for e in h.edges:
+        parent = Hypergraph(h.n, [f for f in h.edges if f != e], k=h.k)
+        if search_mod._augmentation_accepts(parent, e, degrees(parent)):
+            accepted.append(e)
+    return accepted
+
+
+# Regular graphs with two edge orbits: refinement leaves all their edges
+# one colour, so only the canonical labelling tells the orbits apart.
+_REGULAR = (
+    Hypergraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    Hypergraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+)
+
+
+def _relabelled(rng, h):
+    p = list(range(h.n))
+    rng.shuffle(p)
+    return p, Hypergraph(h.n, perm_image(h.edges, p), k=h.k)
+
+
+def _test_graphs(seed):
+    """Random graphs and 3-graphs on 3..7 vertices, then random
+    relabellings of the regular graphs."""
+    rng = random.Random(seed)
+    for i in range(60):
+        n, k = rng.randrange(3, 8), 2 + i % 2
+        pool = list(itertools.combinations(range(n), k))
+        yield rng, Hypergraph(n, rng.sample(pool, rng.randrange(1, len(pool) + 1)), k=k)
+    for h in _REGULAR:
+        for _ in range(5):
+            yield rng, _relabelled(rng, h)[1]
+
+
+def test_deletion_accepts_exactly_one_edge_orbit():
+    """Augmentation keeps one representative per class because the
+    accepted edges of every graph form one orbit of its group."""
+    for _, h in _test_graphs(12):
+        accepted = _accepted(h)
+        orbit = {tuple(sorted(p[v] for v in accepted[0])) for p in oracle_automorphisms(h)}
+        assert set(accepted) == orbit, (h.n, h.edges)
+
+
+def test_deletion_commutes_with_relabelling():
+    for rng, h in _test_graphs(13):
+        p, image = _relabelled(rng, h)
+        assert perm_image(_accepted(h), p) == _accepted(image), (h.n, h.edges, p)
+
+
+def test_deletion_labels_only_the_children_that_tie(monkeypatch):
+    """Degrees and refined colours settle most children before a
+    canonical labelling is run."""
+    tests, labellings = [], []
+    accepts, canonical = search_mod._augmentation_accepts, autom_mod._Engine.canonical
+
+    def counted_accepts(*args):
+        tests.append(args)
+        return accepts(*args)
+
+    def counted_canonical(self):
+        labellings.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(search_mod, "_augmentation_accepts", counted_accepts)
+    monkeypatch.setattr(autom_mod._Engine, "canonical", counted_canonical)
+    assert sum(len(reps) for _, reps in classes_by_edge_count(6, 2)) == 156
+    assert len(tests) == 572
+    assert 2 * len(labellings) < len(tests)
 
 
 def test_augmentation_max_edges_cutoff():
