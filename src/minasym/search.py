@@ -79,7 +79,6 @@ class _Remap:
         img = [1 << edges.index(tuple(sorted(perm[v] for v in e))) for e in edges]
         self.lo = self._table(img[: self.lo_bits])
         self.hi = self._table(img[self.lo_bits :])
-        self.lo_mask = (1 << self.lo_bits) - 1
 
     @staticmethod
     def _table(img: list[int]) -> np.ndarray:
@@ -88,8 +87,9 @@ class _Remap:
             t = np.concatenate([t, t | bit])
         return t
 
-    def apply(self, masks: np.ndarray) -> np.ndarray:
-        return self.lo[masks & self.lo_mask] | self.hi[masks >> self.lo_bits]
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """Images of masks lo..hi-1; lo and hi are multiples of 2^lo_bits."""
+        return (self.hi[lo >> self.lo_bits : hi >> self.lo_bits, None] | self.lo).ravel()
 
 
 def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
@@ -188,21 +188,24 @@ def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
     total = 1 << len(edges)
     gens = [_Remap(transposition(n, v, v + 1), edges) for v in range(n - 1)]
     least = np.arange(total, dtype=np.int32)
-    # Blocks of _CHUNK masks keep the temporaries small.
+    # Blocks of _CHUNK masks, 2^lo_bits-aligned for `_Remap.span`, keep the temporaries small.
     spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
     while True:
         before = int(least.sum(dtype=np.int64))
         for lo, hi in spans:
-            block, part = np.arange(lo, hi, dtype=np.int32), least[lo:hi]
+            part = least[lo:hi]
             for remap in gens:
-                np.minimum(part, least[remap.apply(block)], out=part)
-            part[:] = least[part]
+                np.minimum(part, least.take(remap.span(lo, hi)), out=part)
+            part[:] = least.take(part)
         # least only ever falls, so an unchanged sum means a fixpoint.
         if int(least.sum(dtype=np.int64)) == before:
             break
     # Orbit minima are the fixed points of least; an orbit's size is how many masks point at it.
     reps = np.concatenate([np.flatnonzero(least[lo:hi] == np.arange(lo, hi)) + lo for lo, hi in spans])
-    sizes = sum(np.bincount(np.searchsorted(reps, least[lo:hi]), minlength=reps.size) for lo, hi in spans)
+    sizes = np.zeros(reps.size, dtype=np.int64)
+    for lo, hi in spans:  # a block points at few distinct minima
+        values, counts = np.unique(least[lo:hi], return_counts=True)
+        sizes[np.searchsorted(reps, values)] += counts
     # Python ints: n! passes the int64 range from n = 21.
     order = math.factorial(n)
     return least, [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
@@ -257,9 +260,13 @@ def _edge_orbit(
     return orbit
 
 
-def _augmentation_accepts(parent: Hypergraph, added: tuple[int, ...], deg: Sequence[int]) -> bool:
+def _augmentation_accepts(
+    parent: Hypergraph, added: tuple[int, ...], deg: Sequence[int]
+) -> tuple[bool, Optional[list[Perm]]]:
     """Canonical-deletion test for the child `parent` + `added`, where
-    `deg` holds the parent's vertex degrees.
+    `deg` holds the parent's vertex degrees: (accepted, the child's
+    automorphism generators if step 3 ran the walk that finds them,
+    else None).
 
     The canonical deletion is picked in three isomorphism-invariant
     steps, each narrowing a kept set of the child's edges:
@@ -281,14 +288,15 @@ def _augmentation_accepts(parent: Hypergraph, added: tuple[int, ...], deg: Seque
         child_deg[v] += 1
     kept = _best(range(len(edges)), lambda i: sorted(child_deg[v] for v in edges[i]))
     if kept[-1] != last or len(kept) == 1:
-        return kept == [last]
+        return kept == [last], None
     with closing(structure_engine(parent.n, edges, False)) as engine:
         kept = _best(kept, engine.base[1].__getitem__)
         if kept[-1] != last or len(kept) == 1:
-            return kept == [last]
+            return kept == [last], None
         _, sigma = engine.canonical()
+        gens = engine.generators()  # the walk canonical() finished
         deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
-        return deletion == added or deletion in _edge_orbit(added, engine.generators())
+        return deletion == added or deletion in _edge_orbit(added, gens), gens
 
 
 def _best(kept: Iterable[int], score) -> list[int]:
@@ -310,13 +318,16 @@ def classes_by_edge_count(
     """
     all_edges = list(combinations(range(n), k))
     top = len(all_edges) if max_edges is None else min(max_edges, len(all_edges))
-    current = [Hypergraph(n, (), k=k)]
-    yield 0, current
+    # Each class with its automorphism generators, when its acceptance
+    # test already found them; any generating set gives the same edge orbits.
+    current: list[tuple[Hypergraph, Optional[list[Perm]]]] = [(Hypergraph(n, (), k=k), None)]
+    yield 0, [current[0][0]]
     m = 0
     while m < top:
-        grown: list[Hypergraph] = []
-        for parent in current:
-            gens = structure_engine(n, parent.edges, False).generators()
+        grown: list[tuple[Hypergraph, Optional[list[Perm]]]] = []
+        for parent, gens in current:
+            if gens is None:
+                gens = structure_engine(n, parent.edges, False).generators()
             deg = degrees(parent)
             present = parent.edge_set()
             candidates = [e for e in all_edges if e not in present]
@@ -325,10 +336,11 @@ def classes_by_edge_count(
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
-                if _augmentation_accepts(parent, cand, deg):
-                    grown.append(Hypergraph(n, parent.edges + (cand,), k=k))
+                accepted, child_gens = _augmentation_accepts(parent, cand, deg)
+                if accepted:
+                    grown.append((Hypergraph(n, parent.edges + (cand,), k=k), child_gens))
         m += 1
-        yield m, grown
+        yield m, [child for child, _ in grown]
         current = grown
 
 

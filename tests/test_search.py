@@ -4,7 +4,9 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from minasym import (
@@ -205,6 +207,59 @@ def test_class_orbits_satisfy_orbit_stabiliser():
         assert orbits == out.total_labeled, (k, n)
 
 
+def _images(perm, edges, masks):
+    """Per-mask images under a vertex permutation, one edge bit at a time."""
+    out = np.zeros_like(masks)
+    for i, e in enumerate(edges):
+        out |= ((masks >> i) & 1) << edges.index(tuple(sorted(perm[v] for v in e)))
+    return out
+
+
+def test_remap_span_equals_the_per_mask_image():
+    # (2, 7): 21 edges, odd; (3, 3): one edge; (4, 3): none; (3, 6): 2^20 masks
+    rng = random.Random(14)
+    for k, n in ((2, 7), (3, 3), (4, 3), (3, 6)):
+        edges = search_mod._edge_space(n, k)
+        total = 1 << len(edges)
+        perms = [transposition(n, v, v + 1) for v in range(n - 1)] + [rng.sample(range(n), n)]
+        for perm in perms:
+            remap = search_mod._Remap(perm, edges)
+            for lo in range(0, total, _CHUNK):
+                hi = min(lo + _CHUNK, total)
+                masks = np.arange(lo, hi, dtype=np.int32)
+                assert np.array_equal(remap.span(lo, hi), _images(perm, edges, masks)), (k, n, perm, lo)
+
+
+def test_orbit_minima_match_the_full_group():
+    for k, n in ((2, 5), (3, 5), (1, 6)):
+        edges = search_mod._edge_space(n, k)
+        masks = np.arange(1 << len(edges), dtype=np.int32)
+        least = masks.copy()
+        for perm in itertools.permutations(range(n)):
+            np.minimum(least, _images(perm, edges, masks), out=least)
+        assert np.array_equal(search_mod._orbits(k, n)[0], least), (k, n)
+
+
+def test_orbit_census_pins_the_large_cells():
+    # (3, 6): OEIS A000665; (20, 21): every 20-graph on 21 vertices is symmetric
+    for k, n, classes, asymmetric in ((3, 6, 2136, 1010), (20, 21, 22, 0)):
+        census = search_mod._orbit_census(k, n)
+        assert len(census) == classes, (k, n)
+        assert sum(asym for _, asym in census) == asymmetric, (k, n)
+
+
+def test_orbit_census_adds_no_full_space_temporary():
+    """Block-sized temporaries only: the peak stays near `least` itself."""
+    search_mod._orbits(2, 4)
+    tracemalloc.start()
+    try:
+        least, _ = search_mod._orbits(2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * least.nbytes, peak / least.nbytes
+
+
 def test_augmentation_is_duplicate_free():
     total = 0
     for _, layer in classes_by_edge_count(6, 2):
@@ -228,7 +283,7 @@ def _accepted(h):
     accepted = []
     for e in h.edges:
         parent = Hypergraph(h.n, [f for f in h.edges if f != e], k=h.k)
-        if search_mod._augmentation_accepts(parent, e, degrees(parent)):
+        if search_mod._augmentation_accepts(parent, e, degrees(parent))[0]:
             accepted.append(e)
     return accepted
 
