@@ -1,10 +1,15 @@
 """Automorphism machinery for hypergraphs and tuple structures.
 
-The engine colors vertices and edges, refines the colors to a fixpoint
-(vertex color <- incident edge colors, edge color <- endpoint colors),
-and backtracks over individualization choices.  Candidate bijections are
-only ever read off discrete colorings and are verified edge-by-edge, so
-every reported automorphism is genuine regardless of refinement power.
+The engine keeps the vertices and the edges as two ordered partitions,
+a cell's color being its start in the order, and refines them to the
+coarsest equitable partition by a queue of splitter cells (McKay and
+Piperno, "Practical graph isomorphism II", 2014): a splitter re-splits
+only the cells of the other side next to it.  Individualizing a vertex
+splits it off a stable parent state and queues only that singleton.
+The engine backtracks over individualization choices.  Candidate
+bijections are only ever read off discrete colorings and are verified
+edge-by-edge, so every reported automorphism is genuine regardless of
+refinement power.
 
 One walk down the identity path of the search tree, resumed by every
 query on the engine, finds the first non-identity automorphism, a
@@ -25,7 +30,7 @@ import math
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceGuardError
@@ -48,7 +53,10 @@ class _Engine:
     """Search over color-preserving vertex bijections of one structure.
 
     `ordered=False` treats edges as sets (hypergraphs); `ordered=True`
-    keeps positions significant (relational tuple systems).
+    keeps positions significant (relational tuple systems).  A state is
+    (vertex colors, edge colors, vertex order, edge order, vertex cell
+    sizes, edge cell sizes), a size standing at its cell's start and 0
+    elsewhere in the cell.
     """
 
     def __init__(
@@ -64,11 +72,20 @@ class _Engine:
         self.ordered = ordered
         self.edge_set = frozenset(self.edges)
         self.inc = _incidence(n, self.edges, ordered)
-        if pinned:
-            base = [1 if v in pinned else 0 for v in range(n)]
-        else:
-            base = [0] * n
-        self.base = self._refine(base)
+        # per edge its vertices, as (vertex, position) pairs when ordered
+        self.ends = tuple(tuple(zip(e, range(len(e)))) for e in edges) if ordered else self.edges
+        # the base state: one edge cell, the unpinned and the pinned cell
+        pinned = pinned or frozenset()
+        cut = n - len(pinned)
+        vorder = [v for v in range(n) if v not in pinned] + sorted(pinned)
+        vcol = [cut if v in pinned else 0 for v in range(n)]
+        sizes, queue = ([0] * n, [0] * self.m), []
+        for side, start, size in ((0, 0, cut), (0, cut, n - cut), (1, 0, self.m)):
+            if size:
+                sizes[side][start] = size
+                queue.append((side, start))
+        state = (vcol, [0] * self.m, vorder, list(range(self.m))) + sizes
+        self.base = self._refine(state, queue)
         # the engine's one walk, its generators and finished levels so far,
         # and the least leaf while canonical() keeps leaves
         self._gens: list[Perm] = []
@@ -79,61 +96,92 @@ class _Engine:
 
     # -- coloring ---------------------------------------------------
 
-    def _refine(self, vcol: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Refine to a stable (vertex colors, edge colors) pair."""
-        n, m = self.n, self.m
-        edges, inc, ordered = self.edges, self.inc, self.ordered
-        vcol = list(vcol)
-        ecol = [0] * m
-        nv = ne = -1
-        while True:
-            esig = []
-            for ei in range(m):
-                cols = [vcol[v] for v in edges[ei]]
-                if not ordered:
-                    cols.sort()
-                esig.append((ecol[ei], tuple(cols)))
-            ranks = {s: i for i, s in enumerate(sorted(set(esig)))}
-            ecol = [ranks[s] for s in esig]
-            ne2 = len(ranks)
+    def _refine(self, state: tuple, queue: list[tuple[int, int]]) -> tuple:
+        """Split the cells of `state` in place until it is equitable, and
+        return it; `queue` holds the splitter cells, (0, start) for a
+        vertex cell and (1, start) for an edge cell.
 
-            vsig = []
-            for v in range(n):
-                if ordered:
-                    around = sorted((ecol[ei], pos) for ei, pos in inc[v])
-                else:
-                    around = sorted(ecol[ei] for ei in inc[v])
-                vsig.append((vcol[v], tuple(around)))
-            vranks = {s: i for i, s in enumerate(sorted(set(vsig)))}
-            vcol = [vranks[s] for s in vsig]
-            nv2 = len(vranks)
+        A splitter splits each cell of the other side next to it by how
+        often its members meet the splitter, or, when ordered, by the
+        sorted positions at which they meet it; the parts go in ascending
+        key order, the first keeping the cell's start.  A split cell that
+        is queued queues its new parts; any other queues all but its
+        largest, whose splits follow from those of the cell and the
+        other parts (Hopcroft's rule).  Every step reads only colors and
+        cell sizes, so isomorphic inputs refine to colorings that
+        correspond.
+        """
+        cols, orders, sizes = state[:2], state[2:4], state[4:]
+        near = (self.inc, self.ends)
+        queued = set(queue)
+        for side, start in queue:  # the loop reads the entries it appends
+            queued.discard((side, start))
+            members = orders[side][start:start + sizes[side][start]]
+            other = 1 - side
+            col, order, size = cols[other], orders[other], sizes[other]
+            if self.ordered:
+                meets: dict = {}
+                for x in members:
+                    for y, pos in near[side][x]:
+                        meets.setdefault(y, []).append(pos)
+                key, missing = {y: tuple(sorted(p)) for y, p in meets.items()}, ()
+            elif len(members) == 1:  # an unordered edge meets a vertex once
+                key, missing = dict.fromkeys(near[side][members[0]], 1), 0
+            else:
+                key, missing = Counter(chain.from_iterable(map(near[side].__getitem__, members))), 0
+            touched: dict[int, list[int]] = {}
+            for y in key:
+                c = col[y]
+                if size[c] > 1:
+                    touched.setdefault(c, []).append(y)
+            for c in sorted(touched):
+                hit, total = touched[c], size[c]
+                if len(hit) == total and len({key[y] for y in hit}) == 1:
+                    continue
+                parts: dict = {}
+                if len(hit) < total:
+                    parts[missing] = [y for y in order[c:c + total] if y not in key]
+                for y in hit:
+                    parts.setdefault(key[y], []).append(y)
+                groups = [parts[k] for k in sorted(parts)]
+                largest = None if (other, c) in queued else max(groups, key=len)
+                for group in groups:
+                    order[c:c + len(group)] = group
+                    if group is not groups[0]:
+                        for y in group:
+                            col[y] = c
+                    size[c] = len(group)
+                    if group is not largest and (other, c) not in queued:
+                        queue.append((other, c))
+                        queued.add((other, c))
+                    c += len(group)
+        return state
 
-            if nv2 == nv and ne2 == ne:
-                return vcol, ecol
-            nv, ne = nv2, ne2
-
-    def _individualize(self, state, v: int, marker: int):
-        vcol = list(state[0])
-        vcol[v] = marker
-        return self._refine(vcol)
+    def _individualize(self, state: tuple, v: int) -> tuple:
+        """`state` with v moved to the end of its cell as a singleton, refined."""
+        vcol, ecol, vorder, eorder, vsize, esize = state
+        start = vcol[v]
+        last = start + vsize[start] - 1
+        vcol, vorder, vsize = vcol[:], vorder[:], vsize[:]
+        at = vorder.index(v, start, last + 1)
+        vorder[at], vorder[last] = vorder[last], v
+        vsize[start] -= 1
+        vsize[last] = 1
+        vcol[v] = last
+        return self._refine((vcol, ecol[:], vorder, eorder[:], vsize, esize[:]), [(0, last)])
 
     @staticmethod
     def _compatible(dom, cod) -> bool:
-        return Counter(dom[0]) == Counter(cod[0]) and Counter(dom[1]) == Counter(cod[1])
+        return dom[4:] == cod[4:]
 
-    def _select_cell(self, vcol) -> Optional[int]:
-        """Color of the smallest non-singleton vertex cell, lowest color first."""
-        counts = Counter(vcol)
-        best = None
-        for color, size in counts.items():
-            if size > 1 and (best is None or (size, color) < best):
-                best = (size, color)
+    def _select_cell(self, state) -> Optional[int]:
+        """Start of the smallest non-singleton vertex cell, lowest first."""
+        best = min(((size, c) for c, size in enumerate(state[4]) if size > 1), default=None)
         return None if best is None else best[1]
 
     def _extract(self, dom, cod) -> Optional[Perm]:
         """Bijection matching discrete colors; verified before acceptance."""
-        by_color = {c: v for v, c in enumerate(cod[0])}
-        perm = tuple(by_color[c] for c in dom[0])
+        perm = tuple(map(cod[2].__getitem__, dom[0]))
         if self._preserves(perm):
             return perm
         return None
@@ -146,8 +194,9 @@ class _Engine:
 
     # -- searches ---------------------------------------------------
 
-    def _cell_members(self, vcol, color) -> list[int]:
-        return [v for v in range(self.n) if vcol[v] == color]
+    @staticmethod
+    def _cell_members(state, color) -> list[int]:
+        return state[2][color:color + state[4][color]]
 
     def _find_ext(self, dom, cod, prefix: tuple) -> Optional[Perm]:
         """First color-respecting automorphism extending dom->cod, if any.
@@ -161,18 +210,17 @@ class _Engine:
             if not self._keep:
                 return None
             dom = None
-        color = self._select_cell(cod[0])
+        color = self._select_cell(cod)
         if color is None:
             self._offer(cod)
             return None if dom is None else self._extract(dom, cod)
-        marker = self.n + 1 + len(prefix)
-        t = None if dom is None else self._cell_members(dom[0], color)[0]
-        dom_next = None if dom is None else self._individualize(dom, t, marker)
+        t = None if dom is None else self._cell_members(dom, color)[0]
+        dom_next = None if dom is None else self._individualize(dom, t)
         covered: set[int] = set()
-        for v in self._cell_members(cod[0], color):
+        for v in self._cell_members(cod, color):
             if v in covered:
                 continue
-            found = self._find_ext(dom_next, self._individualize(cod, v, marker), prefix + (v,))
+            found = self._find_ext(dom_next, self._individualize(cod, v), prefix + (v,))
             if found is not None:
                 return found
             covered |= _orbit_of(v, [g for g in self._gens if all(g[p] == p for p in prefix)])
@@ -209,21 +257,20 @@ class _Engine:
         level goes to `_levels` as (orbit size, state, t, cell, prefix);
         the product of the sizes is the group order by orbit-stabilizer.
         """
-        color = self._select_cell(state[0])
+        color = self._select_cell(state)
         if color is None:
             self._offer(state)
             return
-        cell = self._cell_members(state[0], color)
+        cell = self._cell_members(state, color)
         t = cell[0]
-        marker = self.n + 1 + len(prefix)
-        on_path = self._individualize(state, t, marker)
+        on_path = self._individualize(state, t)
         yield from self._walk(on_path, prefix + (t,))
         orbit = _orbit_of(t, self._gens)
         covered = set(orbit)
         for v in cell[1:]:
             if v in covered:
                 continue
-            rep = self._find_ext(on_path, self._individualize(state, v, marker), prefix + (v,))
+            rep = self._find_ext(on_path, self._individualize(state, v), prefix + (v,))
             if rep is None:
                 covered |= _orbit_of(v, self._gens)
                 continue
@@ -249,10 +296,9 @@ class _Engine:
         if even is None:
             return None
         _, state, t, cell, prefix = even
-        first = self.n + 1 + len(prefix)
         for v in cell[1:]:
-            dom = self._individualize(self._individualize(state, t, first), v, first + 1)
-            cod = self._individualize(self._individualize(state, v, first), t, first + 1)
+            dom = self._individualize(self._individualize(state, t), v)
+            cod = self._individualize(self._individualize(state, v), t)
             x = self._find_ext(dom, cod, prefix + (v, t))
             if x is not None:
                 return power(x, order(x) // 2)

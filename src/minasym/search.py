@@ -273,8 +273,10 @@ def _augmentation_accepts(
     1. the edges with the largest sorted tuple of endpoint degrees,
        read off `deg` and `added` before the child is built;
     2. the edges with the largest refined colour of the child's engine
-       (`base[1]`: refinement ranks sorted signatures from a uniform
-       colouring, so isomorphic children colour alike);
+       (`base[1]`: an edge's colour is the start of its cell in the
+       equitable partition that refinement reaches from a uniform
+       colouring by isomorphism-invariant steps, so isomorphic children
+       colour alike);
     3. the edge with the largest image under the canonical labelling.
     The child is rejected as soon as `added` leaves the kept set and
     accepted as soon as it is the only edge left; after step 3 it must

@@ -146,3 +146,39 @@ def oracle_automorphisms_rel(r: RelationalStructure) -> list[tuple[int, ...]]:
         if sorted(tuple(p[v] for v in t) for t in r.tuples) == target:
             out.append(p)
     return out
+
+
+def oracle_refine(n, edges, ordered, vcol):
+    """Colour refinement by re-ranking every signature until the number
+    of colours stops growing: (vertex colours, edge colours), from the
+    vertex colouring `vcol` and one edge colour.  Edge signatures are the
+    endpoint colours (sorted unless `ordered`), vertex signatures the
+    sorted incident edge colours (with positions when `ordered`)."""
+    inc = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for pos, v in enumerate(e):
+            inc[v].append((ei, pos) if ordered else ei)
+    vcol = list(vcol)
+    ecol = [0] * len(edges)
+    nv = ne = -1
+    while True:
+        esig = []
+        for ei, e in enumerate(edges):
+            cols = [vcol[v] for v in e]
+            if not ordered:
+                cols.sort()
+            esig.append((ecol[ei], tuple(cols)))
+        ranks = {s: i for i, s in enumerate(sorted(set(esig)))}
+        ecol = [ranks[s] for s in esig]
+        vsig = []
+        for v in range(n):
+            if ordered:
+                around = sorted((ecol[ei], pos) for ei, pos in inc[v])
+            else:
+                around = sorted(ecol[ei] for ei in inc[v])
+            vsig.append((vcol[v], tuple(around)))
+        vranks = {s: i for i, s in enumerate(sorted(set(vsig)))}
+        vcol = [vranks[s] for s in vsig]
+        if (len(vranks), len(ranks)) == (nv, ne):
+            return vcol, ecol
+        nv, ne = len(vranks), len(ranks)
