@@ -65,13 +65,14 @@ class _Engine:
         edges: Sequence[tuple[int, ...]],
         ordered: bool,
         pinned: Optional[frozenset[int]] = None,
+        inc: Optional[list[tuple]] = None,
     ):
         self.n = n
         self.edges = tuple(edges)
         self.m = len(self.edges)
         self.ordered = ordered
         self.edge_set = frozenset(self.edges)
-        self.inc = _incidence(n, self.edges, ordered)
+        self.inc = _incidence(n, self.edges, ordered) if inc is None else inc
         # per edge its vertices, as (vertex, position) pairs when ordered
         self.ends = tuple(tuple(zip(e, range(len(e)))) for e in edges) if ordered else self.edges
         # the base state: one edge cell, the unpinned and the pinned cell
@@ -447,53 +448,54 @@ def structure_engine(
     edges: Sequence[tuple[int, ...]],
     ordered: bool,
     stabilize: Optional[Sequence[int]] = None,
+    inc: Optional[list[tuple]] = None,
 ) -> _Engine:
+    """The engine of a raw structure; `inc`, if given, is its
+    `_incidence` list, built once by the caller."""
     pinned = frozenset(stabilize) if stabilize is not None else None
     if pinned is not None and any(not 0 <= v < n for v in pinned):
         raise ValueError("stabilized vertex out of range")
-    return _Engine(n, edges, ordered, pinned)
+    return _Engine(n, edges, ordered, pinned, inc)
 
 
-def _twin_swap(
-    n: int,
-    edges: Sequence[tuple[int, ...]],
-    ordered: bool,
-    stabilize: Optional[Sequence[int]] = None,
-) -> Optional[Perm]:
-    """Swap of two vertices with identical incidence lists, if any.
+def _twin_swap(inc: Sequence[tuple], stabilize: Optional[Sequence[int]] = None) -> Optional[Perm]:
+    """Swap of two vertices with identical `_incidence` lists, if any.
 
-    Such a swap fixes every edge, so it is always an involution.  With
-    `ordered`, each (edge, position) slot holds one point, so only two
-    isolated points can match.  With a stabilized set, both vertices
-    must be on the same side of it.
+    Such a swap fixes every edge, so it is always an involution.  The
+    lists of an ordered structure hold (edge, position) slots, each with
+    one point, so only two isolated points can match.  With a stabilized
+    set, both vertices must be on the same side of it.
     """
     pinned = frozenset(stabilize) if stabilize is not None else frozenset()
     first: dict = {}
-    for v, around in enumerate(_incidence(n, edges, ordered)):
+    for v, around in enumerate(inc):
         prev = first.setdefault((around, v in pinned), v)
         if prev != v:
-            images = list(range(n))
+            images = list(range(len(inc)))
             images[prev], images[v] = v, prev
             return tuple(images)
     return None
 
 
-def _nonidentity(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
-    """A non-identity automorphism of the raw structure, or None."""
-    swap = _twin_swap(n, edges, ordered, stabilize)
+def _twin_or_engine(n, edges, ordered: bool, stabilize, query: str) -> Optional[Perm]:
+    """A twin swap, else the engine's answer to `query`; the incidence
+    lists are built once for both."""
+    inc = _incidence(n, edges, ordered)
+    swap = _twin_swap(inc, stabilize)
     if swap is not None:
         return swap
-    with closing(structure_engine(n, edges, ordered, stabilize)) as engine:
-        return engine.find_nonidentity()
+    with closing(structure_engine(n, edges, ordered, stabilize, inc)) as engine:
+        return getattr(engine, query)()
+
+
+def _nonidentity(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
+    """A non-identity automorphism of the raw structure, or None."""
+    return _twin_or_engine(n, edges, ordered, stabilize, "find_nonidentity")
 
 
 def _involution(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:
     """An order-two automorphism of the raw structure, or None."""
-    swap = _twin_swap(n, edges, ordered, stabilize)
-    if swap is not None:
-        return swap
-    with closing(structure_engine(n, edges, ordered, stabilize)) as engine:
-        return engine.find_involution()
+    return _twin_or_engine(n, edges, ordered, stabilize, "find_involution")
 
 
 def find_nonidentity_automorphism(
@@ -537,7 +539,7 @@ def _assemble(
     witness = None
     if order % 2 == 0:
         if not ordered:  # relations report the engine's involution
-            witness = _twin_swap(n, edges, False, stabilize)
+            witness = _twin_swap(engine.inc, stabilize)
         if witness is None:
             witness = engine.find_involution()
     return AutomResult(

@@ -10,8 +10,10 @@ more isolated vertices always yields a swap, and appending exactly one
 changes nothing (the lone isolated vertex is fixed by every
 automorphism).  Each edge subset therefore stands for all its vertex
 extensions, and only its support matters.  Vertex-subset scans pick
-induced sub-structures.  Every scan runs in this process; the public
-verifiers accept `workers` and ignore it.
+induced sub-structures: the edges a vertex mask picks are one AND of a
+table over its low vertex bits and one over its high bits, and the twin
+sieve runs once per distinct pick in a block of masks.  Every scan runs
+in this process; the public verifiers accept `workers` and ignore it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .report import VerificationReport, perm_line
 
 _EXHAUSTIVE_EDGE_LIMIT = 20
 _WORD = 62  # edge bits per int64 word of a scan row
-_BLOCK = 1 << 16  # vertices x masks per scan block
+_BLOCK = 1 << 16  # int64 words of twin-test rows per scan block
 
 
 class _Kind(NamedTuple):
@@ -85,48 +87,104 @@ class _Subsets:
         _, n, sub_edges = self.sub(vmask, edges)
         return self.symmetry(n, sub_edges, self.ordered) is None
 
+    def incidence(self) -> np.ndarray:
+        """Per vertex, its incident edges as bits of int64 words, `_WORD`
+        edges to a word."""
+        inc = np.zeros((self.n, max(1, -(-len(self.edges) // _WORD))), dtype=np.int64)
+        for i, vmask in enumerate(self.edge_bits):
+            for v in _bits(vmask, self.n):
+                inc[v, i // _WORD] |= 1 << i % _WORD
+        return inc
+
+
+def _support_twins(
+    picks: np.ndarray, inc: np.ndarray, ordered: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per set of picked edges (a row of int64 words): the size of its
+    support, and whether two support vertices v have equal rows
+    `picks & inc[v]` and so swap as twins (never with `ordered`: each
+    tuple slot holds one point)."""
+    rows = picks[:, None, :] & inc
+    support = rows.any(axis=2)
+    if ordered:
+        return support.sum(axis=1), np.zeros(len(picks), dtype=bool)
+    np.copyto(rows[:, :, 0], -1 - np.arange(len(inc)), where=~support)  # no twin among sentinels
+    if rows.shape[2] == 1:
+        rows.sort(axis=1)
+    else:  # a row sharing only the first word may split a twin pair: then the engine decides
+        rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
+    return support.sum(axis=1), (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
+
+
+def _edge_blocks(subsets: _Subsets):
+    """Edge masks from 1 in blocks: masks, support sizes, twins.  An
+    edge mask is its own pick."""
+    inc = subsets.incidence()
+    step = max(1, _BLOCK // (subsets.n or 1))
+    for lo in range(1, subsets.full + 1, step):
+        masks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)
+        yield (masks, *_support_twins(masks[:, None], inc, subsets.ordered))
+
+
+def _picked_table(inc: np.ndarray, verts: range) -> np.ndarray:
+    """Per bitmask x over `verts` (bit i for verts[i]), the edges none
+    of whose vertices in `verts` lies outside x, in int64 words."""
+    table = np.bitwise_or.reduce(inc, axis=0, keepdims=True)
+    for v in verts:  # masks with v's bit set form the upper half
+        table = np.concatenate([table & ~inc[v], table])
+    return table
+
+
+def _vertex_blocks(subsets: _Subsets):
+    """Vertex masks from 0 in aligned blocks of 2^lo: masks, sizes, twins.
+
+    A vertex mask S picks the edges inside it, one AND of two split
+    tables: low[S mod 2^lo] & high[S >> lo].  Its twins are two chosen
+    vertices outside the pick's support, or two support vertices with
+    equal rows, which depends on the pick alone.  That test runs once
+    per run of equal picks, the block's picks sorted by their first
+    word: once per distinct pick when they fit one word.  The low table
+    and each block's temporaries hold at most `_BLOCK` elements, and
+    the high table 2^(n - lo) rows.
+    """
+    inc = subsets.incidence()
+    n, words = inc.shape
+    lo = min(n, (_BLOCK // (n * words or 1)).bit_length() - 1)
+    low, high = _picked_table(inc, range(lo)), _picked_table(inc, range(lo, n))
+    low_size = np.bitwise_count(np.arange(1 << lo, dtype=np.int64))
+    for hi in range(len(high)):
+        picks = high[hi] & low
+        order = np.argsort(picks[:, 0])
+        picks = picks[order]
+        first = np.ones(len(picks), dtype=bool)  # first of a run of equal picks
+        first[1:] = (picks[1:] != picks[:-1]).any(axis=1)
+        distinct = np.empty(len(picks), dtype=np.intp)
+        distinct[order] = np.cumsum(first) - 1
+        support, twins = _support_twins(picks[first], inc, subsets.ordered)
+        size = low_size + hi.bit_count()
+        twins = (size - support[distinct] >= 2) | twins[distinct]
+        yield np.arange(hi << lo, (hi + 1) << lo, dtype=np.int64), size, twins
+
 
 def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
     """First violating mask in ascending order, and the masks checked.
 
     Every non-empty edge subset counts as checked (2^m - 1 in all), as
     it stands for its vertex extensions; vertex subsets count only in
-    scope (2^n - n - 2 in all).  In each numpy block of masks, a vertex's
-    row holds its incident picked edges, in words of `_WORD` bits.  Two
-    in-scope vertices with equal rows swap as twins, an involution (with
-    `ordered`, only two isolated points), so only the in-scope masks
-    without twins reach `subsets.test`.
+    scope (2^n - n - 2 in all).  A block of masks comes with each
+    mask's chosen-vertex count and twin verdict.  An edge mask is its
+    own pick (`_edge_blocks`); a vertex mask's pick is one AND of two
+    split tables, and the twin test runs once per distinct pick of its
+    block (`_vertex_blocks`).  Twins swap, an involution, so only the
+    in-scope masks without twins reach `subsets.test`.
     """
     n, m, kind = subsets.n, len(subsets.edges), subsets.kind
     if not kind.induced and m > _WORD:
         raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
-    words = max(1, -(-m // _WORD))
-    word_bits = np.zeros((m, words), dtype=np.int64)  # each edge's bit in its word
-    word_bits[np.arange(m), np.arange(m) // _WORD] = np.left_shift(1, np.arange(m) % _WORD)
-    member = np.array([[v in e for e in subsets.edges] for v in range(n)], dtype=np.int64).reshape(n, m)
-    inc, arity, verts = member @ word_bits, member.sum(axis=0), np.arange(n)
-    step = max(1, _BLOCK // (n * words or 1))
     checked = 0
-    for lo in range(1, subsets.full + 1, step):
-        masks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)
-        if kind.induced:  # a vertex mask picks the edges inside it
-            chosen = (masks[:, None] >> verts & 1).astype(bool)
-            rows = (((chosen @ member) == arity) @ word_bits)[:, None, :] & inc
-        else:
-            rows = masks[:, None, None] & inc
-            chosen = rows.any(axis=2)
-        size = chosen.sum(axis=1)
+    for masks, size, twins in (_vertex_blocks if kind.induced else _edge_blocks)(subsets):
         in_scope = (size >= 2) & ((size < n) | (kind.spanning & (masks != subsets.full)))
         counted = in_scope | (not kind.induced)
-        if subsets.ordered:
-            chosen = chosen & ~rows.any(axis=2)
-        np.copyto(rows[:, :, 0], -1 - verts, where=~chosen)  # no twin among sentinels
-        if words == 1:
-            rows.sort(axis=1)
-        else:  # a row sharing only the first word may split a twin pair: then the engine decides
-            rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
-        twins = (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
-        del rows  # before the next block's rows exist
         for i in np.flatnonzero(in_scope & ~twins).tolist():
             if subsets.test(int(masks[i])):
                 return int(masks[i]), checked + int(counted[: i + 1].sum())

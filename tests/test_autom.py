@@ -20,6 +20,7 @@ from minasym import (
     canonical_form,
     canonical_key,
     canonical_key_rel,
+    classes_by_edge_count,
     compose,
     degrees,
     find_nonidentity_automorphism,
@@ -536,3 +537,25 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
         assert [ref() for ref in built] == [None, None]
     finally:
         gc.enable()
+
+
+def test_incidence_lists_are_built_once_per_structure(monkeypatch):
+    # the twin check hands its lists on to the engine, and automorphisms
+    # reads the engine's for its twin witness
+    classes = [h for _, layer in classes_by_edge_count(6, 2) for h in layer]
+    calls = []
+    incidence = autom_mod._incidence
+
+    def counted(*args):
+        calls.append(args)
+        return incidence(*args)
+
+    monkeypatch.setattr(autom_mod, "_incidence", counted)
+    for query in (is_asymmetric, has_involution, automorphisms):
+        per_structure = []
+        for h in classes:
+            before = len(calls)
+            query(h)
+            per_structure.append(len(calls) - before)
+        assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
+    assert len(classes) == 156

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import minasym.autom as autom_mod
 import minasym.verify as verify_mod
 from minasym import (
     Hypergraph,
@@ -14,11 +17,13 @@ from minasym import (
     gen_gk_star,
     gen_gkt,
     gen_gkt_circ,
+    gen_hcirc,
     has_involution,
     is_asymmetric,
     parse_hgf,
     verify_asymmetric,
     verify_minimal_asymmetric,
+    verify_minimal_asymmetric_rel,
     verify_minimal_involution_free,
     verify_strongly_minimal,
 )
@@ -269,6 +274,68 @@ def test_twin_sieve_scan_matches_the_ascending_loop():
     for h, expected in ((_seventy_five_edges(), (63, 57)), (wide, (254, 246))):
         subsets = verify_mod._Subsets(h.n, h.edges, False, "induced")
         assert verify_mod._scan(subsets) == _ascending_scan(subsets) == expected
+
+
+def _high_anchored(rng, n, ordered, anchored):
+    """Seeded edges on n vertices; when anchored, each meets a vertex past
+    11, so no induced part inside the first 2^12 masks has an edge."""
+    def edge(size):
+        e = rng.sample(range(n), size)
+        if anchored and max(e) < 12:
+            e[rng.randrange(size)] = rng.randrange(12, n)
+        return tuple(e) if ordered else tuple(sorted(e))
+
+    edges = set()
+    for _ in range(rng.randrange(4, 13)):
+        e = edge(2 if ordered else rng.choice((2, 3)))
+        edges.add(e)
+        if ordered and rng.random() < 0.5:  # some pairs both ways
+            edges.add(e[::-1])
+    return sorted(edges)
+
+
+def test_multi_block_induced_scans_match_the_ascending_loop():
+    # n = 13..15 makes 2 to 8 blocks of 2^12 vertex masks
+    rng = random.Random(57)
+    outcomes = {"holds": 0, "first block": 0, "past it": 0}
+    for n in (13, 14, 15):
+        for ordered in (False, True):
+            for anchored in (False, True, True):
+                edges = _high_anchored(rng, n, ordered, anchored)
+                subsets = verify_mod._Subsets(n, edges, ordered, "induced")
+                blocks = list(verify_mod._vertex_blocks(subsets))
+                step = len(blocks[0][0])
+                assert step == 1 << 12 and len(blocks) == 1 << (n - 12)
+                masks, size, twins = (np.concatenate(part) for part in zip(*blocks))
+                assert (masks == np.arange(1 << n)).all()
+                # each side of every block boundary against the sub-structure itself
+                for mask in (b + side for b in range(step, 1 << n, step) for side in (-1, 0)):
+                    _, sub_n, sub_edges = subsets.sub(*subsets.pick(mask))
+                    swap = autom_mod._twin_swap(autom_mod._incidence(sub_n, sub_edges, ordered))
+                    assert (size[mask], twins[mask]) == (mask.bit_count(), swap is not None)
+                expected = _ascending_scan(subsets)
+                assert verify_mod._scan(subsets) == expected, (n, edges, ordered)
+                bad = expected[0]
+                outcomes["holds" if bad is None else "first block" if bad < step else "past it"] += 1
+                if anchored and bad is not None:
+                    assert bad >= step
+    assert min(outcomes.values()) >= 2, outcomes
+
+
+def test_induced_scan_adds_no_full_space_temporary():
+    """Under one byte a mask: the peak of a certificate that scans all
+    2^20 vertex subsets stays below 2^20 bytes."""
+    r = gen_hcirc(4, 2)
+    assert r.n == 20
+    verify_minimal_asymmetric(gen_gkt_circ(3, 1))
+    tracemalloc.start()
+    try:
+        rep = verify_minimal_asymmetric_rel(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.holds, rep.samples) == (True, 2**20 - 22)
+    assert peak < 1 << 20, peak
 
 
 def test_wide_induced_scan_and_the_edge_scan_guard():
