@@ -12,8 +12,12 @@ automorphism).  Each edge subset therefore stands for all its vertex
 extensions, and only its support matters.  Vertex-subset scans pick
 induced sub-structures: the edges a vertex mask picks are one AND of a
 table over its low vertex bits and one over its high bits, and the twin
-sieve runs once per distinct pick in a block of masks.  Every scan runs
-in this process; the public verifiers accept `workers` and ignore it.
+sieve runs once per distinct pick in a block of masks.  Masks without
+twins next meet a transposition test: a swap of two support vertices
+that maps every picked edge to a picked edge is an involution of the
+sub-structure.  Only masks that no swap fixes reach the engine.  Every
+scan runs in this process; the public verifiers accept `workers` and
+ignore it.
 """
 
 from __future__ import annotations
@@ -86,6 +90,19 @@ class _Subsets:
             return None
         _, n, sub_edges = self.sub(vmask, edges)
         return self.symmetry(n, sub_edges, self.ordered) is None
+
+    def picked(self, masks: np.ndarray) -> np.ndarray:
+        """Per mask, its picked edges as bools, and a last column that
+        is never picked: an edge mask's own bits, else the edges inside
+        the vertex mask."""
+        m = len(self.edges)
+        picked = np.zeros((len(masks), m + 1), dtype=bool)
+        if self.kind.induced:
+            bits = np.array(self.edge_bits, dtype=np.int64)
+            picked[:, :m] = masks[:, None] & bits == bits
+        else:
+            picked[:, :m] = masks[:, None] >> np.arange(m) & 1
+        return picked
 
     def incidence(self) -> np.ndarray:
         """Per vertex, its incident edges as bits of int64 words, `_WORD`
@@ -166,6 +183,65 @@ def _vertex_blocks(subsets: _Subsets):
         yield np.arange(hi << lo, (hi + 1) << lo, dtype=np.int64), size, twins
 
 
+def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per transposition (a b) of two vertices that lie in edges, three
+    rows over the edges meeting a, then those meeting b, padded with the
+    never-picked index m: those edges, their images under the swap (m
+    when an image is no edge), and whether each contains a.
+
+    Tuples are swapped position by position; unordered edges are sorted
+    after the swap.  Images are found among the edges by sorting all
+    the rows together and numbering the runs of equal rows.
+    """
+    m = len(edges)
+    dtype = np.min_scalar_type(n)
+    rows = np.full((m + 1, max([1, *map(len, edges)])), n, dtype=dtype)  # n pads, sorts last
+    around: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        rows[i, : len(e)] = e
+        for v in set(e):
+            around[v].append(i)
+    verts = [v for v in range(n) if around[v]]
+    meets = np.full((len(verts), max(map(len, around), default=0)), m)
+    for row, v in zip(meets, verts):
+        row[: len(around[v])] = around[v]
+    first, second = np.triu_indices(len(verts), 1)
+    src = np.concatenate([meets[first], meets[second]], axis=1)
+    a, b = (np.array(verts, dtype=dtype)[side, None, None] for side in (first, second))
+    image = rows[src]
+    has_a = (image == a).any(axis=2)
+    image = np.where(image == a, b, np.where(image == b, a, image))
+    if not ordered:
+        image.sort(axis=2)
+    both = np.concatenate([rows[:m], image.reshape(-1, rows.shape[1])])
+    order = np.lexsort(both.T)
+    ranked = both[order]
+    new = np.ones(len(both), dtype=bool)  # first of a run of equal rows
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run = np.empty(len(both), dtype=np.intp)
+    run[order] = np.cumsum(new) - 1
+    edge_of = np.full(len(both), m)
+    edge_of[run[:m]] = np.arange(m)
+    return src, edge_of[run[m:]].reshape(src.shape), has_a
+
+
+def _swap_fixed(tables, subsets: _Subsets, masks: np.ndarray) -> np.ndarray:
+    """Per mask: whether some swap (a b) of `_swap_tables` maps every
+    picked edge to a picked edge, with a in the pick's support.  Such a
+    swap is an involution of the picked sub-structure; without a in the
+    support it would fix any pick.  Masks go in chunks of at most
+    `_BLOCK` mask × swap × edge cells."""
+    src, img, has_a = tables
+    fixed = np.zeros(len(masks), dtype=bool)
+    step = max(1, _BLOCK // (src.size or 1))
+    for lo in range(0, len(masks), step):
+        picked = subsets.picked(masks[lo : lo + step])
+        hit = picked[:, src]
+        kept = ~(hit & ~picked[:, img]).any(axis=2)
+        fixed[lo : lo + step] = ((hit & has_a).any(axis=2) & kept).any(axis=1)
+    return fixed
+
+
 def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
     """First violating mask in ascending order, and the masks checked.
 
@@ -175,17 +251,25 @@ def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
     mask's chosen-vertex count and twin verdict.  An edge mask is its
     own pick (`_edge_blocks`); a vertex mask's pick is one AND of two
     split tables, and the twin test runs once per distinct pick of its
-    block (`_vertex_blocks`).  Twins swap, an involution, so only the
-    in-scope masks without twins reach `subsets.test`.
+    block (`_vertex_blocks`).  Twins swap, an involution.  The in-scope
+    masks without twins next meet the transposition test
+    (`_swap_fixed`, over tables built on the first block that needs
+    them), and only masks with no fixing swap reach `subsets.test`.
+    A swap is an involution too, so no skipped mask is a violation.
     """
     n, m, kind = subsets.n, len(subsets.edges), subsets.kind
     if not kind.induced and m > _WORD:
         raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
-    checked = 0
+    checked, tables = 0, None
     for masks, size, twins in (_vertex_blocks if kind.induced else _edge_blocks)(subsets):
         in_scope = (size >= 2) & ((size < n) | (kind.spanning & (masks != subsets.full)))
         counted = in_scope | (not kind.induced)
-        for i in np.flatnonzero(in_scope & ~twins).tolist():
+        survivors = np.flatnonzero(in_scope & ~twins)
+        if survivors.size:
+            if tables is None:
+                tables = _swap_tables(n, subsets.edges, subsets.ordered)
+            survivors = survivors[~_swap_fixed(tables, subsets, masks[survivors])]
+        for i in survivors.tolist():
             if subsets.test(int(masks[i])):
                 return int(masks[i]), checked + int(counted[: i + 1].sum())
         checked += int(counted.sum())

@@ -18,6 +18,7 @@ from minasym import (
     gen_gkt,
     gen_gkt_circ,
     gen_hcirc,
+    gen_r3t,
     has_involution,
     is_asymmetric,
     parse_hgf,
@@ -245,7 +246,16 @@ def _seventy_five_edges():
     return Hypergraph(10, random.Random(1).sample(pool, 75), k=3)
 
 
-def test_twin_sieve_scan_matches_the_ascending_loop():
+def test_twin_sieve_scan_matches_the_ascending_loop(monkeypatch):
+    fired = {kind: 0 for kind in verify_mod._KINDS.values()}  # masks the swap sieve drops
+    sieve = verify_mod._swap_fixed
+
+    def counting(tables, subsets, masks):
+        fixed = sieve(tables, subsets, masks)
+        fired[subsets.kind] += int(fixed.sum())
+        return fixed
+
+    monkeypatch.setattr(verify_mod, "_swap_fixed", counting)
     rng = random.Random(73)
     structures = []
     for _ in range(300):
@@ -256,6 +266,13 @@ def test_twin_sieve_scan_matches_the_ascending_loop():
         n, arity = rng.randrange(2, 8), rng.randrange(1, 4)
         pool = list(itertools.product(range(n), repeat=arity))
         structures.append((n, rng.sample(pool, rng.randrange(0, min(len(pool), 9) + 1)), True))
+    for _ in range(60):  # r3t-like tuple pairs, gkt-circ-like edge pairs: swaps inside edges
+        n, tuples, edges = rng.randrange(4, 9), set(), set()
+        for _ in range(rng.randrange(1, 5)):
+            u, v, w, x = rng.sample(range(n), 4)
+            tuples |= {(u, v, w), (v, u, w)}
+            edges |= {tuple(sorted((u, v, w))), tuple(sorted((u, v, x)))}
+        structures += [(n, sorted(tuples), True), (n, sorted(edges), False)]
     # vertex masks wider than one int64 word
     structures.append((70, rng.sample(list(itertools.combinations(range(70), 3)), 9), False))
     found = {(kind, ordered): 0 for kind in verify_mod._KINDS for ordered in (False, True)}
@@ -266,6 +283,7 @@ def test_twin_sieve_scan_matches_the_ascending_loop():
             assert verify_mod._scan(subsets) == expected, (n, edges, ordered, kind)
             found[kind, ordered] += expected[0] is not None
     assert min(found.values()) >= 20, found
+    assert min(fired.values()) >= 100, fired
     # induced rows over two and three words; at mask 254 of the 4-graph
     # two vertices agree on the first word only
     pool = list(itertools.combinations(range(10), 4))
@@ -274,6 +292,71 @@ def test_twin_sieve_scan_matches_the_ascending_loop():
     for h, expected in ((_seventy_five_edges(), (63, 57)), (wide, (254, 246))):
         subsets = verify_mod._Subsets(h.n, h.edges, False, "induced")
         assert verify_mod._scan(subsets) == _ascending_scan(subsets) == expected
+
+
+def _tested_masks(monkeypatch):
+    """The masks that reach `_Subsets.test` from now on."""
+    tested = []
+    test = verify_mod._Subsets.test
+
+    def recording(self, mask):
+        tested.append(mask)
+        return test(self, mask)
+
+    monkeypatch.setattr(verify_mod._Subsets, "test", recording)
+    return tested
+
+
+def test_swap_sieve_finds_a_swap_inside_tuples(monkeypatch):
+    # {0, 1} carries the arcs (0, 1) and (1, 0): swapping 0 and 1 fixes
+    # both, and no two points are twins.  {0, 2} has two isolated points,
+    # and {1, 2} the asymmetric arc (1, 2), the first violation.
+    subsets = verify_mod._Subsets(3, [(0, 1), (1, 0), (1, 2)], True, "induced")
+    tables = verify_mod._swap_tables(3, subsets.edges, True)
+    fixed = verify_mod._swap_fixed(tables, subsets, np.array([3, 5, 6]))
+    assert fixed.tolist() == [True, False, False]
+    expected = _ascending_scan(subsets)
+    tested = _tested_masks(monkeypatch)
+    assert verify_mod._scan(subsets) == expected == (6, 3)
+    assert tested == [6]
+
+
+def test_induced_rel_r3t_reaches_the_engine_once(monkeypatch):
+    """512 of the sub-structures without twins have a transposition
+    automorphism through tuple points; the swap sieve settles them."""
+    tested = _tested_masks(monkeypatch)
+    rep = verify_minimal_asymmetric_rel(gen_r3t(2))
+    assert (rep.holds, rep.samples) == (True, 2**13 - 15)
+    assert len(tested) <= 1, len(tested)
+
+
+def test_swap_sieve_chunks_its_temporaries(monkeypatch):
+    """Over a thousand masks of one block survive the twin sieve, but
+    the swap sieve takes them in chunks: the scan's peak stays below
+    2 MiB, where one pass over all of them would hold about 8 MB of
+    mask × swap × edge bools per temporary."""
+    pool = list(itertools.combinations(range(16), 3))
+    h = Hypergraph(16, random.Random(3).sample(pool, 120), k=3)
+    subsets = verify_mod._Subsets(h.n, h.edges, False, "induced")
+    sieved = []  # masks per call of the swap sieve
+    sieve = verify_mod._swap_fixed
+
+    def counting(tables, subsets, masks):
+        sieved.append(len(masks))
+        return sieve(tables, subsets, masks)
+
+    monkeypatch.setattr(verify_mod, "_swap_fixed", counting)
+    verify_mod._scan(subsets)
+    sieved.clear()
+    tracemalloc.start()
+    try:
+        result = verify_mod._scan(subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (63, 57)
+    assert sieved and sieved[0] >= 1000, sieved
+    assert peak < 1 << 21, peak
 
 
 def _high_anchored(rng, n, ordered, anchored):
