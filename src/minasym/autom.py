@@ -75,16 +75,20 @@ class _Engine:
         self.inc = _incidence(n, self.edges, ordered) if inc is None else inc
         # per edge its vertices, as (vertex, position) pairs when ordered
         self.ends = tuple(tuple(zip(e, range(len(e)))) for e in edges) if ordered else self.edges
-        # the base state: one edge cell, the unpinned and the pinned cell
+        # the base state: one edge cell, the unpinned and the pinned cell;
+        # the whole vertex cell meets each edge once per endpoint, so with
+        # nothing pinned and one edge size it splits nothing and is not queued
         pinned = pinned or frozenset()
         cut = n - len(pinned)
         vorder = [v for v in range(n) if v not in pinned] + sorted(pinned)
         vcol = [cut if v in pinned else 0 for v in range(n)]
         sizes, queue = ([0] * n, [0] * self.m), []
+        idle = not pinned and len(set(map(len, self.edges))) < 2
         for side, start, size in ((0, 0, cut), (0, cut, n - cut), (1, 0, self.m)):
             if size:
                 sizes[side][start] = size
-                queue.append((side, start))
+                if side or not idle:
+                    queue.append((side, start))
         state = (vcol, [0] * self.m, vorder, list(range(self.m))) + sizes
         self.base = self._refine(state, queue)
         # the engine's one walk, its generators and finished levels so far,
@@ -105,29 +109,33 @@ class _Engine:
         A splitter splits each cell of the other side next to it by how
         often its members meet the splitter, or, when ordered, by the
         sorted positions at which they meet it; the parts go in ascending
-        key order, the first keeping the cell's start.  A split cell that
-        is queued queues its new parts; any other queues all but its
-        largest, whose splits follow from those of the cell and the
-        other parts (Hopcroft's rule).  Every step reads only colors and
-        cell sizes, so isomorphic inputs refine to colorings that
-        correspond.
+        key order, the first keeping the cell's start.  A singleton of
+        an unordered structure meets each neighbour once, so it splits a
+        cell it does not wholly hit in two: the members it misses, in
+        cell order, then the ones it hits, in incidence order.  A split
+        cell that is queued queues its new parts; any other queues all
+        but its largest, the first of equal ones, whose splits follow
+        from those of the cell and the other parts (Hopcroft's rule).
+        Every step reads only colors and cell sizes, so isomorphic inputs
+        refine to colorings that correspond.
         """
         cols, orders, sizes = state[:2], state[2:4], state[4:]
         near = (self.inc, self.ends)
-        queued = set(queue)
+        queued = {start << 1 | side for side, start in queue}  # the cells in the queue
         for side, start in queue:  # the loop reads the entries it appends
-            queued.discard((side, start))
+            queued.discard(start << 1 | side)
             members = orders[side][start:start + sizes[side][start]]
             other = 1 - side
             col, order, size = cols[other], orders[other], sizes[other]
-            if self.ordered:
+            single = len(members) == 1 and not self.ordered
+            if single:  # an unordered singleton meets each neighbour once
+                key = near[side][members[0]]
+            elif self.ordered:
                 meets: dict = {}
                 for x in members:
                     for y, pos in near[side][x]:
                         meets.setdefault(y, []).append(pos)
                 key, missing = {y: tuple(sorted(p)) for y, p in meets.items()}, ()
-            elif len(members) == 1:  # an unordered edge meets a vertex once
-                key, missing = dict.fromkeys(near[side][members[0]], 1), 0
             else:
                 key, missing = Counter(chain.from_iterable(map(near[side].__getitem__, members))), 0
             touched: dict[int, list[int]] = {}
@@ -137,6 +145,18 @@ class _Engine:
                     touched.setdefault(c, []).append(y)
             for c in sorted(touched):
                 hit, total = touched[c], size[c]
+                if single:
+                    cut = c + total - len(hit)
+                    if cut > c:  # the missed members, then the hit ones
+                        for y in hit:
+                            col[y] = cut
+                        order[c:c + total] = [y for y in order[c:c + total] if col[y] == c] + hit
+                        size[c], size[cut] = cut - c, len(hit)
+                        # the new part if the cell is queued, else the smaller, hit on a tie
+                        new = cut if c << 1 | other in queued or cut - c >= len(hit) else c
+                        queue.append((other, new))
+                        queued.add(new << 1 | other)
+                    continue
                 if len(hit) == total and len({key[y] for y in hit}) == 1:
                     continue
                 parts: dict = {}
@@ -145,16 +165,16 @@ class _Engine:
                 for y in hit:
                     parts.setdefault(key[y], []).append(y)
                 groups = [parts[k] for k in sorted(parts)]
-                largest = None if (other, c) in queued else max(groups, key=len)
+                largest = None if c << 1 | other in queued else max(groups, key=len)
                 for group in groups:
                     order[c:c + len(group)] = group
                     if group is not groups[0]:
                         for y in group:
                             col[y] = c
                     size[c] = len(group)
-                    if group is not largest and (other, c) not in queued:
+                    if group is not largest and c << 1 | other not in queued:
                         queue.append((other, c))
-                        queued.add((other, c))
+                        queued.add(c << 1 | other)
                     c += len(group)
         return state
 

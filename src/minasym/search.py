@@ -288,7 +288,7 @@ def _augmentation_accepts(
     child_deg = list(deg)
     for v in added:
         child_deg[v] += 1
-    kept = _best(range(len(edges)), lambda i: sorted(child_deg[v] for v in edges[i]))
+    kept = _best(range(len(edges)), lambda i: sorted(map(child_deg.__getitem__, edges[i])))
     if kept[-1] != last or len(kept) == 1:
         return kept == [last], None
     with closing(structure_engine(parent.n, edges, False)) as engine:

@@ -1,6 +1,7 @@
 """Automorphism engine against the n! oracle."""
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -24,6 +25,8 @@ from minasym import (
     compose,
     degrees,
     find_nonidentity_automorphism,
+    gen_gks,
+    gen_hcirc,
     group_order,
     has_involution,
     is_asymmetric,
@@ -42,6 +45,8 @@ from util import (
     random_mixed,
     random_relational,
     random_uniform,
+    reference_base,
+    reference_refine,
 )
 
 
@@ -227,6 +232,31 @@ def test_refinement_matches_the_rank_oracle():
             state = engine._individualize(state, x)
             _check_state(state)
             assert (_cells(state[0]), _cells(state[1])) == tuple(map(_cells, want))
+
+
+def test_refinement_states_match_the_reference(monkeypatch):
+    """The base state and every individualized state equal, list for
+    list, what the general reference refinement in util reaches from the
+    same input: the same colours, cell orders and cell sizes, where the
+    rank-oracle test compares cells only as set partitions.  Pinned sets
+    are picked as that test picks them; each level individualizes every
+    vertex of the target cell, then walks on from a random one."""
+    rng = random.Random(20261019)
+    fixed = [(12, frucht_graph().edges, False), (16, hypercube(4).edges, False)]
+    for n, edges, ordered in fixed + list(_random_structures(rng, 300)):
+        pinned = None
+        if rng.random() < 0.4:
+            pinned = frozenset(rng.sample(range(n), rng.randrange(n + 1)))
+        engine = _Engine(n, edges, ordered, pinned)
+        state = engine.base
+        assert state == reference_base(engine, pinned)
+        while (color := engine._select_cell(state)) is not None:
+            cell = engine._cell_members(state, color)
+            got = [engine._individualize(state, v) for v in cell]
+            with monkeypatch.context() as m:
+                m.setattr(_Engine, "_refine", reference_refine)
+                assert got == [engine._individualize(state, v) for v in cell]
+            state = rng.choice(got)
 
 
 def test_refinement_is_relabelling_invariant():
@@ -559,3 +589,41 @@ def test_incidence_lists_are_built_once_per_structure(monkeypatch):
             per_structure.append(len(calls) - before)
         assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
     assert len(classes) == 156
+
+
+def _engine_outputs(h: Hypergraph) -> tuple:
+    res = automorphisms(h)
+    return canonical_key(h), canonical_form(h).edges, res.generators, res.involution_witness
+
+
+def test_engine_outputs_are_pinned():
+    """sha256 digests of engine outputs, pinned: the canonical keys,
+    canonical forms, generators and involution witnesses of all 156
+    graphs on 6 vertices (as augmentation labels them) and of a few
+    fixed relabelled structures, and the relational key of hcirc(4, 2).
+    Each output hangs on the exact colours and cell orders of
+    refinement, so a rewrite that keeps every state keeps every digest.
+    A future declared output change must re-pin these digests and log
+    that in CHANGES.md."""
+    petersen = Hypergraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])
+    classes = [h for _, level in classes_by_edge_count(6, 2) for h in level]
+    assert len(classes) == 156
+    got = {"(2,6) classes": [_engine_outputs(h) for h in classes]}
+    rng = random.Random(17)
+    for name, h in (("K_9^(3)", Hypergraph(9, itertools.combinations(range(9), 3))),
+                    ("Q_5", hypercube(5)), ("Petersen", petersen), ("gks(6,1)", gen_gks(6, 1))):
+        p = list(range(h.n))
+        rng.shuffle(p)
+        got[name] = _engine_outputs(relabel(h, tuple(p)))
+    got["hcirc(4,2)"] = canonical_key_rel(gen_hcirc(4, 2))
+    digests = {name: hashlib.sha256(repr(out).encode()).hexdigest() for name, out in got.items()}
+    assert digests == {
+        "(2,6) classes": "ae7cfc8344436d9ff1518ae33b4fdf3e488004d0c0211d427c41799a9b23e470",
+        "K_9^(3)": "cbd1ac57b97f3f89a60421c56fe560ad31bcaabc0563ce7248fd18df29fc72e5",
+        "Q_5": "806ebee302c0ff8442273f60633ee37bfa108ad897cadc7702fed5ae5c3ffa12",
+        "Petersen": "3ea4aaaa939e058bb660f9fea43c727c438be65b2d6db3f4b007110502e23f02",
+        "gks(6,1)": "a702a35fade03b78ce4ff244e0aeb9cb8023c1a0db2ce644a2464e307c5c20b7",
+        "hcirc(4,2)": "dd1220c7694beaf3528a0e187608b2515a2b413cf5a82d852c9dbcab6667ea8c",
+    }

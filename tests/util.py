@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from itertools import chain
 from typing import Optional
 
 from minasym import Hypergraph, RelationalStructure
@@ -182,3 +184,74 @@ def oracle_refine(n, edges, ordered, vcol):
         if (len(vranks), len(ranks)) == (nv, ne):
             return vcol, ecol
         nv, ne = len(vranks), len(ranks)
+
+
+def reference_refine(self, state: tuple, queue: list[tuple[int, int]]) -> tuple:
+    """`_Engine._refine` with every splitter, singletons too, sent
+    through the general multi-way split, kept line for line as the
+    exact-state reference: installed as `_Engine._refine` (the first
+    argument is the engine), it must give the same colours, cell orders
+    and cell sizes."""
+    cols, orders, sizes = state[:2], state[2:4], state[4:]
+    near = (self.inc, self.ends)
+    queued = set(queue)
+    for side, start in queue:  # the loop reads the entries it appends
+        queued.discard((side, start))
+        members = orders[side][start:start + sizes[side][start]]
+        other = 1 - side
+        col, order, size = cols[other], orders[other], sizes[other]
+        if self.ordered:
+            meets: dict = {}
+            for x in members:
+                for y, pos in near[side][x]:
+                    meets.setdefault(y, []).append(pos)
+            key, missing = {y: tuple(sorted(p)) for y, p in meets.items()}, ()
+        elif len(members) == 1:  # an unordered edge meets a vertex once
+            key, missing = dict.fromkeys(near[side][members[0]], 1), 0
+        else:
+            key, missing = Counter(chain.from_iterable(map(near[side].__getitem__, members))), 0
+        touched: dict[int, list[int]] = {}
+        for y in key:
+            c = col[y]
+            if size[c] > 1:
+                touched.setdefault(c, []).append(y)
+        for c in sorted(touched):
+            hit, total = touched[c], size[c]
+            if len(hit) == total and len({key[y] for y in hit}) == 1:
+                continue
+            parts: dict = {}
+            if len(hit) < total:
+                parts[missing] = [y for y in order[c:c + total] if y not in key]
+            for y in hit:
+                parts.setdefault(key[y], []).append(y)
+            groups = [parts[k] for k in sorted(parts)]
+            largest = None if (other, c) in queued else max(groups, key=len)
+            for group in groups:
+                order[c:c + len(group)] = group
+                if group is not groups[0]:
+                    for y in group:
+                        col[y] = c
+                size[c] = len(group)
+                if group is not largest and (other, c) not in queued:
+                    queue.append((other, c))
+                    queued.add((other, c))
+                c += len(group)
+    return state
+
+
+def reference_base(engine, pinned=None) -> tuple:
+    """The engine's base state as `reference_refine` reaches it from the
+    base queue with the whole vertex cell always queued: one edge cell,
+    the unpinned and the pinned vertex cell."""
+    n, m = engine.n, engine.m
+    pinned = pinned or frozenset()
+    cut = n - len(pinned)
+    vorder = [v for v in range(n) if v not in pinned] + sorted(pinned)
+    vcol = [cut if v in pinned else 0 for v in range(n)]
+    sizes, queue = ([0] * n, [0] * m), []
+    for side, start, size in ((0, 0, cut), (0, cut, n - cut), (1, 0, m)):
+        if size:
+            sizes[side][start] = size
+            queue.append((side, start))
+    state = (vcol, [0] * m, vorder, list(range(m))) + sizes
+    return reference_refine(engine, state, queue)
