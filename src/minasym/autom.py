@@ -11,10 +11,11 @@ bijections are only ever read off discrete colorings and are verified
 edge-by-edge, so every reported automorphism is genuine regardless of
 refinement power.
 
-One walk down the identity path of the search tree, resumed by every
-query on the engine, finds the first non-identity automorphism, a
-generating set, and the group order as the product of the path's orbit
-sizes; run with leaf keeping on, it is also the canonical labeling.  By
+One walk down the identity path of the search tree finds the first
+non-identity automorphism, a generating set, and the group order as the
+product of the path's orbit sizes; run with leaf keeping on, it is also
+the canonical labeling.  A query walks from the root until its answer
+is known, and no query walks again once a walk has run to its end.  By
 Cauchy's theorem an involution exists exactly when some orbit size on
 the path is even, and below the deepest even level every involution
 moves that level's path vertex, so `find_involution` searches only the
@@ -25,13 +26,11 @@ independent routes for cross-checking.
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph
@@ -91,11 +90,11 @@ class _Engine:
                     queue.append((side, start))
         state = (vcol, [0] * self.m, vorder, list(range(self.m))) + sizes
         self.base = self._refine(state, queue)
-        # the engine's one walk, its generators and finished levels so far,
-        # and the least leaf while canonical() keeps leaves
+        # the last walk's generators and finished levels, whether it ran
+        # to its end, and the least leaf while canonical() keeps leaves
         self._gens: list[Perm] = []
         self._levels: list[tuple] = []
-        self._walker = self._walk(self.base, ())
+        self._done = False
         self._keep = False
         self._least: Optional[tuple] = None
 
@@ -249,25 +248,30 @@ class _Engine:
 
     def find_nonidentity(self) -> Optional[Perm]:
         """First automorphism the identity-path walk finds, if any."""
-        if not self._gens:
-            next(self._walker, None)
+        self._run(lambda: bool(self._gens))
         return self._gens[0] if self._gens else None
 
     def generators(self) -> list[Perm]:
         """Generating set of the full color-preserving automorphism group,
         from the identity-path walk run to its end."""
-        for _ in self._walker:
-            pass
+        self._run(lambda: False)
         return list(self._gens)
 
     def order(self) -> int:
         """Group order: the product of the walk's orbit sizes."""
-        self.generators()
+        self._run(lambda: False)
         return math.prod(level[0] for level in self._levels)
 
-    def _walk(self, state, prefix: tuple) -> Iterator[Perm]:
-        """Walk the identity path, yielding each new coset representative
-        as soon as it is found, deepest level first.
+    def _run(self, stop: Callable[[], object]) -> None:
+        """Walk afresh from the base until `stop()` holds, unless it holds
+        already or a walk has run to its end."""
+        if not (self._done or stop()):
+            self._gens, self._levels = [], []
+            self._done = not self._walk(self.base, (), stop)
+
+    def _walk(self, state, prefix: tuple, stop: Callable[[], object]) -> bool:
+        """Walk the identity path, deepest level first; return True, ending
+        the walk, when `stop()` holds after a new coset representative.
 
         Once the walk below a level is done, the generators found so far
         generate the pointwise stabilizer of the prefix and the path vertex
@@ -281,11 +285,12 @@ class _Engine:
         color = self._select_cell(state)
         if color is None:
             self._offer(state)
-            return
+            return False
         cell = self._cell_members(state, color)
         t = cell[0]
         on_path = self._individualize(state, t)
-        yield from self._walk(on_path, prefix + (t,))
+        if self._walk(on_path, prefix + (t,), stop):
+            return True
         orbit = _orbit_of(t, self._gens)
         covered = set(orbit)
         for v in cell[1:]:
@@ -296,10 +301,12 @@ class _Engine:
                 covered |= _orbit_of(v, self._gens)
                 continue
             self._gens.append(rep)
-            yield rep
+            if stop():
+                return True
             orbit = _orbit_of(t, self._gens)
             covered |= orbit
         self._levels.append((len(orbit), state, t, cell, prefix))
+        return False
 
     def find_involution(self) -> Optional[Perm]:
         """An automorphism of order two, or None when the group order is odd.
@@ -310,9 +317,7 @@ class _Engine:
         level's t: the first automorphism swapping t with a cell vertex
         has even order, and its half power is the answer.
         """
-        while not any(level[0] % 2 == 0 for level in self._levels):
-            if next(self._walker, None) is None:
-                break
+        self._run(lambda: any(level[0] % 2 == 0 for level in self._levels))
         even = next((level for level in self._levels if level[0] % 2 == 0), None)
         if even is None:
             return None
@@ -329,23 +334,15 @@ class _Engine:
 
     def canonical(self) -> tuple[tuple, Perm]:
         """Least relabeled edge encoding over the search tree, with the
-        relabeling that realizes it: the walk run with leaf keeping on,
-        afresh if it has begun.  Each subtree it skips is an automorphic
-        image of a searched one, whose leaves encode alike."""
+        relabeling that realizes it: a fresh walk to the end with leaf
+        keeping on, whose generators later queries read.  Each subtree it
+        skips is an automorphic image of a searched one, whose leaves
+        encode alike."""
         if self._least is None:
-            if inspect.getgeneratorstate(self._walker) != inspect.GEN_CREATED:
-                self._gens, self._levels = [], []
-                self._walker = self._walk(self.base, ())
-            self._keep = True
-            self.generators()
+            self._keep, self._done = True, False
+            self._run(lambda: False)
             self._keep = False
         return self._least
-
-    def close(self) -> None:
-        """End the walk.  A walk begun and not finished, or never begun,
-        holds its engine in a reference cycle (engine -> walk frame ->
-        engine); closed, the engine is freed by reference counting."""
-        self._walker.close()
 
     def _offer(self, leaf) -> None:
         """Keep the leaf's relabeled edge encoding if it is the least yet."""
@@ -504,8 +501,7 @@ def _twin_or_engine(n, edges, ordered: bool, stabilize, query: str) -> Optional[
     swap = _twin_swap(inc, stabilize)
     if swap is not None:
         return swap
-    with closing(structure_engine(n, edges, ordered, stabilize, inc)) as engine:
-        return getattr(engine, query)()
+    return getattr(structure_engine(n, edges, ordered, stabilize, inc), query)()
 
 
 def _nonidentity(n, edges, ordered: bool, stabilize=None) -> Optional[Perm]:

@@ -205,6 +205,8 @@ def to_hgf(h: Hypergraph) -> str:
 
 def parse_hgf(text: str) -> Hypergraph:
     n, k, edges = _read_rows(text, "HGF", "edge")
+    if k < 0:
+        raise ValueError(f"bad HGF header: k = {k} is negative")
     for e in edges:
         if any(a >= b for a, b in zip(e, e[1:])):
             raise ValueError(f"edge indices not ascending: {' '.join(map(str, e))!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -291,14 +290,14 @@ def _augmentation_accepts(
     kept = _best(range(len(edges)), lambda i: sorted(map(child_deg.__getitem__, edges[i])))
     if kept[-1] != last or len(kept) == 1:
         return kept == [last], None
-    with closing(structure_engine(parent.n, edges, False)) as engine:
-        kept = _best(kept, engine.base[1].__getitem__)
-        if kept[-1] != last or len(kept) == 1:
-            return kept == [last], None
-        _, sigma = engine.canonical()
-        gens = engine.generators()  # the walk canonical() finished
-        deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
-        return deletion == added or deletion in _edge_orbit(added, gens), gens
+    engine = structure_engine(parent.n, edges, False)
+    kept = _best(kept, engine.base[1].__getitem__)
+    if kept[-1] != last or len(kept) == 1:
+        return kept == [last], None
+    _, sigma = engine.canonical()
+    gens = engine.generators()  # the walk canonical() finished
+    deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
+    return deletion == added or deletion in _edge_orbit(added, gens), gens
 
 
 def _best(kept: Iterable[int], score) -> list[int]:

@@ -340,6 +340,8 @@ def _verify(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and seed is None:
         raise ValueError("sampled mode needs a seed")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample, got {samples}")
     used_seed = seed if mode == "sampled" else 0
 
     def finish(holds, checked, witness=""):

@@ -36,6 +36,7 @@ from minasym import (
     set_complement,
 )
 import minasym.autom as autom_mod
+import minasym.search as search_mod
 from minasym.autom import _Engine, structure_engine
 from util import (
     oracle_automorphisms,
@@ -284,41 +285,50 @@ def test_refinement_is_relabelling_invariant():
 
 
 def test_one_walk_per_engine(monkeypatch):
-    # every query resumes the engine's one identity-path walk, in any
-    # order, and answers as it does on an engine of its own; canonical()
-    # is that walk, so the queries after it walk nothing
-    walk, starts = _Engine._walk, []
+    # each query sequence the library makes walks from the root once; no
+    # query walks after a walk has run to its end, but canonical() walks
+    # afresh with leaf keeping on; every query order gives the same answers
+    walk, prefixes = _Engine._walk, []
 
-    def counted(self, state, prefix):
-        starts.append(len(prefix))
-        return walk(self, state, prefix)
+    def counted(self, *args):
+        prefixes.append(args[1])
+        return walk(self, *args)
 
-    queries = ("find_nonidentity", "find_involution", "generators")
+    queries = ("find_nonidentity", "find_involution", "generators", "order", "canonical")
+    made = [(), ("find_nonidentity",), ("generators",), ("canonical",), ("canonical", "generators"),
+            ("find_involution",), ("generators", "order", "find_involution"), ("generators", "order")]
     cycle12 = Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])
-    for h, size in ((cycle12, 24), (hypercube(4), 384)):
-        alone = [getattr(structure_engine(h.n, h.edges, False), q)() for q in queries]
-        canon = structure_engine(h.n, h.edges, False).canonical()
+    for h, size in ((cycle12, 24), (hypercube(4), 384), (frucht_graph(), 1)):
+        alone = {q: getattr(structure_engine(h.n, h.edges, False), q)() for q in queries}
+        assert alone["order"] == size
         monkeypatch.setattr(_Engine, "_walk", counted)
-        starts.clear()
-        engine = structure_engine(h.n, h.edges, False)
-        assert engine.canonical() == canon
-        assert [engine.generators(), engine.order(), engine.find_involution()] == [alone[2], size, alone[1]]
-        assert engine.find_nonidentity() == alone[0] and engine.canonical() == canon
-        assert starts.count(0) == 1
-        engine = structure_engine(h.n, h.edges, False)
-        engine.generators()
-        assert engine.canonical() == canon  # a walk already begun runs afresh
-        for order in (queries, queries[::-1]):
-            starts.clear()
+        for sequence in made:
+            prefixes.clear()
             engine = structure_engine(h.n, h.edges, False)
-            got = {q: getattr(engine, q)() for q in order}
-            assert [got[q] for q in queries] == alone
-            assert engine.order() == size
-            assert starts.count(0) == 1
-        starts.clear()
-        res = automorphisms(h)  # even order, no twins: generators, then the involution
-        assert starts.count(0) == 1
-        assert (res.group_order, res.involution_witness, list(res.generators)) == (size, alone[1], alone[2])
+            assert [getattr(engine, q)() for q in sequence] == [alone[q] for q in sequence]
+            assert prefixes.count(()) == min(len(sequence), 1), sequence
+        for first in ("generators", "order", "canonical"):
+            engine = structure_engine(h.n, h.edges, False)
+            getattr(engine, first)()
+            prefixes.clear()
+            assert [getattr(engine, q)() for q in queries[:4]] == [alone[q] for q in queries[:4]]
+            assert prefixes == []  # the walk ran to its end
+        engine = structure_engine(h.n, h.edges, False)
+        engine.find_nonidentity()
+        prefixes.clear()
+        assert engine.generators() == alone["generators"]
+        assert prefixes.count(()) == (size > 1)  # the first walk stopped at its automorphism
+        prefixes.clear()
+        assert engine.canonical() == alone["canonical"]  # a walk already run runs afresh
+        assert prefixes.count(()) == 1
+        for order in itertools.permutations(queries):
+            engine = structure_engine(h.n, h.edges, False)
+            assert {q: getattr(engine, q)() for q in order} == alone, order
+        prefixes.clear()
+        res = automorphisms(h)  # generators, order, then the involution
+        assert prefixes.count(()) == 1
+        assert (res.group_order, list(res.generators)) == (size, alone["generators"])
+        assert res.involution_witness == (alone["find_involution"] if size % 2 == 0 else None)
         monkeypatch.setattr(_Engine, "_walk", walk)
 
 
@@ -548,8 +558,10 @@ def test_stabilizer_rejects_bad_vertices():
 
 
 def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
-    # a walk suspended after its first automorphism, or at the first even
-    # level, holds its engine in a cycle unless the query closes it
+    # an engine holds no reference to itself, whether its query stopped
+    # the walk after the first automorphism or at the first even level,
+    # it was never queried (augmentation settles most children by the
+    # base colouring alone), or canonical() walked it to the end
     built = []
 
     def recorded(*args):
@@ -558,13 +570,22 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
         return engine
 
     monkeypatch.setattr(autom_mod, "structure_engine", recorded)
+    monkeypatch.setattr(search_mod, "structure_engine", recorded)
     cycle = Hypergraph(7, [(i, (i + 1) % 7) for i in range(7)])
     gc.disable()
     try:
         assert find_nonidentity_automorphism(cycle) == (0, 6, 5, 4, 3, 2, 1)
         assert has_involution(cycle) == (0, 6, 5, 4, 3, 2, 1)
         assert len(built) == 2
-        assert [ref() for ref in built] == [None, None]
+        parent = Hypergraph(6, [(0, 1), (0, 4), (1, 2), (2, 3)])
+        assert search_mod._augmentation_accepts(parent, (1, 3), degrees(parent)) == (False, None)
+        assert len(built) == 3  # rejected by edge colours, never queried
+        assert sum(len(level) for _, level in classes_by_edge_count(6, 2)) == 156
+        engine = recorded(cycle.n, cycle.edges, False)
+        engine.canonical()
+        del engine
+        assert len(built) > 100
+        assert [ref for ref in built if ref() is not None] == []
     finally:
         gc.enable()
 

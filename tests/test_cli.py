@@ -170,6 +170,18 @@ def test_verify_sampled_needs_seed(capsys):
     assert "seed" in err
 
 
+def test_verify_sampled_needs_a_sample(capsys):
+    for samples in ("0", "-4"):
+        code, out, err = run(
+            capsys,
+            "verify", "--family", "gkt-circ", "--k", "3", "--t", "1",
+            "--property", "strong-minimal", "--mode", "sampled",
+            "--samples", samples, "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "at least one sample" in err
+
+
 def test_verify_sampled_runs_with_seed(capsys):
     code, out, _ = run(
         capsys,

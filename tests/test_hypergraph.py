@@ -159,6 +159,12 @@ def test_hgf_rejects_malformed_input():
             parse_hgf(bad)
 
 
+def test_hgf_rejects_negative_k():
+    with pytest.raises(ValueError, match="bad HGF header"):
+        parse_hgf("3 1 -2\n0 1\n")
+    assert parse_hgf("3 2 0\n0 1\n0 1 2\n").k is None  # 0: mixed edge sizes
+
+
 def test_hgf_stream_round_trip():
     rng = random.Random(6)
     graphs = [random_uniform(rng) for _ in range(5)]

@@ -151,6 +151,14 @@ def test_sampled_mode_needs_seed_and_is_deterministic():
     assert c.holds
 
 
+def test_sampled_mode_needs_a_sample():
+    h = gen_gkt_circ(3, 1)
+    for samples in (0, -4):
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_strongly_minimal(h, mode="sampled", samples=samples, seed=1)
+    assert verify_strongly_minimal(h, samples=0).samples == 2**4 - 1  # exhaustive ignores it
+
+
 def test_auto_mode_picks_exhaustive_for_small_edge_sets():
     rep = verify_strongly_minimal(gen_gkt_circ(3, 1))
     assert rep.mode == "exhaustive"
