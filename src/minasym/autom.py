@@ -616,6 +616,5 @@ def canonical_key(h: Hypergraph) -> bytes:
 
 def canonical_form(h: Hypergraph) -> Hypergraph:
     """Canonically relabeled copy; a fixed point of re-canonicalization."""
-    _, sigma = structure_engine(h.n, h.edges, False).canonical()
-    relabeled = [tuple(sorted(sigma[v] for v in e)) for e in h.edges]
-    return Hypergraph(h.n, relabeled, k=h.k)
+    enc, _ = structure_engine(h.n, h.edges, False).canonical()
+    return Hypergraph(h.n, enc[1], k=h.k)

@@ -37,7 +37,7 @@ from .report import VERSION, serialize_report
 from .search import (
     find_minimal_asymmetric,
     min_asymmetric_order,
-    read_checkpoint,
+    resume_point,
     scan_classes,
     verify_lemma_all_symmetric,
 )
@@ -153,13 +153,7 @@ def _cmd_search(args) -> int:
             raise ValueError("all-symmetric needs --k and --n")
         start = before = 0
         if args.checkpoint and Path(args.checkpoint).exists():
-            ck, cn, chalf, last, before = read_checkpoint(args.checkpoint)
-            if (ck, cn, chalf) != (args.k, args.n, args.half):
-                raise ValueError(
-                    f"checkpoint {args.checkpoint!r} is for k={ck} n={cn} half={chalf}, "
-                    f"not k={args.k} n={args.n} half={args.half}"
-                )
-            start = last + 1
+            start, before = resume_point(args.checkpoint, args.k, args.n, args.half)
         scan = verify_lemma_all_symmetric(
             args.k,
             args.n,
@@ -241,8 +235,9 @@ def _add_family_params(p: argparse.ArgumentParser) -> None:
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", metavar="FILE", help="HGF file ('-' for stdin)")
-    p.add_argument("--family", choices=_HG_FAMILIES, help="generate the input instead of reading it")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", metavar="FILE", help="HGF file ('-' for stdin)")
+    source.add_argument("--family", choices=_HG_FAMILIES, help="generate the input instead of reading it")
     _add_family_params(p)
 
 

@@ -35,20 +35,7 @@ def is_involution(p: Sequence[int]) -> bool:
 
 
 def order(p: Sequence[int]) -> int:
-    n = len(p)
-    seen = [False] * n
-    result = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        result = math.lcm(result, length)
-    return result
+    return math.lcm(*map(len, cycles(p)))
 
 
 def power(p: Sequence[int], e: int) -> Perm:

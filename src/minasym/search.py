@@ -61,6 +61,8 @@ class LemmaScan:
 
 
 def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
+    if k < 1:
+        raise ValueError(f"edge size k must be at least 1, got {k}")
     c = math.comb(n, k)
     if c > _BIT_LIMIT:
         raise ResourceGuardError(
@@ -116,13 +118,10 @@ def _scan_labeled(
     least, census = _orbits(k, n)
     asym = np.array([mask for mask, asymmetric in census if asymmetric], dtype=np.int32)
     total = least.size
+    if not 0 <= start_mask <= total:
+        raise ValueError(f"start mask {start_mask} outside 0..{total}")
     limit = math.comb(n, k) // 2
-    # Masks a scan from 0 counts before start_mask.  With `half`, for the
-    # i-th set bit b of start_mask from the top: the masks that share its
-    # bits above b, clear b, and set at most limit - i bits below it.
-    tops = [b for b in reversed(range(start_mask.bit_length())) if start_mask >> b & 1]
-    counts = (math.comb(b, j) for i, b in enumerate(tops) for j in range(limit - i + 1))
-    before = sum(counts) if half else start_mask
+    before = _counted_before(start_mask, half, limit)
     scanned = 0
     for lo in range(start_mask, total, _CHUNK):
         block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
@@ -139,6 +138,15 @@ def _scan_labeled(
     return scanned, None, total
 
 
+def _counted_before(start_mask: int, half: bool, limit: int) -> int:
+    """Masks a scan from 0 counts before `start_mask`.  With `half`, for
+    the i-th set bit b of start_mask from the top: the masks that share
+    its bits above b, clear b, and set at most limit - i bits below it."""
+    tops = [b for b in reversed(range(start_mask.bit_length())) if start_mask >> b & 1]
+    counts = (math.comb(b, j) for i, b in enumerate(tops) for j in range(limit - i + 1))
+    return sum(counts) if half else start_mask
+
+
 def verify_lemma_all_symmetric(
     k: int,
     n: int,
@@ -148,7 +156,7 @@ def verify_lemma_all_symmetric(
 ) -> LemmaScan:
     """Does every labeled k-graph on n vertices have a non-identity
     automorphism?  Scans the whole labeled space with early exit per
-    instance."""
+    instance; `start_mask` lies in 0..2^C(n,k)."""
     scanned, bad, total = _scan_labeled(k, n, half, start_mask, checkpoint_path)
     witness = None if bad is None else _mask_graph(n, k, _edge_space(n, k), bad)
     return LemmaScan(k, n, total, scanned, bad is None, witness)
@@ -161,6 +169,7 @@ def min_asymmetric_order(
 
     One-vertex structures are ignored as trivially asymmetric.
     """
+    _edge_space(k, k)  # refuses k < 1 also when n_max < 2
     for n in range(2, n_max + 1):
         _, mask, _ = _scan_labeled(k, n, half=True)
         if mask is not None:
@@ -384,3 +393,18 @@ def read_checkpoint(path: str) -> tuple[int, int, bool, int, int]:
         )
     k, n, half, last_mask, scanned = (int(fields[key]) for key in _CHECKPOINT_FIELDS)
     return k, n, bool(half), last_mask, scanned
+
+
+def resume_point(path: str, k: int, n: int, half: bool) -> tuple[int, int]:
+    """(first mask, masks counted before it) to resume the scan (k, n,
+    half) from the checkpoint at `path`.  Refused: a checkpoint of another
+    scan, or one no such scan writes, its last mask outside the space or
+    its count not the count from mask 0 through that mask."""
+    ck, cn, chalf, last, scanned = read_checkpoint(path)
+    if (ck, cn, chalf) != (k, n, half):
+        mode = f"k={ck} n={cn} half={chalf}, not k={k} n={n} half={half}"
+        raise ValueError(f"checkpoint {path!r} is for {mode}")
+    c = len(_edge_space(n, k))
+    if not 0 <= last < 1 << c or scanned != _counted_before(last + 1, half, c // 2):
+        raise ValueError(f"checkpoint {path!r}: no scan counts {scanned} masks up to mask {last}")
+    return last + 1, scanned

@@ -10,12 +10,13 @@ more isolated vertices always yields a swap, and appending exactly one
 changes nothing (the lone isolated vertex is fixed by every
 automorphism).  Each edge subset therefore stands for all its vertex
 extensions, and only its support matters.  Vertex-subset scans pick
-induced sub-structures: the edges a vertex mask picks are one AND of a
-table over its low vertex bits and one over its high bits, and the twin
+induced sub-structures.  A mask's pick is its edges as bits of int64
+words: an edge mask is its own pick, a vertex mask's is one AND of a
+table over its low vertex bits and one over its high bits.  The twin
 sieve runs once per distinct pick in a block of masks.  Masks without
-twins next meet a transposition test: a swap of two support vertices
-that maps every picked edge to a picked edge is an involution of the
-sub-structure.  Only masks that no swap fixes reach the engine.  Every
+twins next meet a transposition test on their picks: a swap of two
+support vertices that maps every picked edge to a picked edge is an
+involution.  Only masks that no swap fixes reach the engine.  Every
 scan runs in this process; the public verifiers accept `workers` and
 ignore it.
 """
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .autom import _involution, _nonidentity, find_nonidentity_automorphism
+from .autom import _incidence, _involution, _nonidentity, find_nonidentity_automorphism
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph, _restrict, to_hgf
 from .report import VerificationReport, perm_line
@@ -85,24 +86,15 @@ class _Subsets:
         """None when the mask is out of scope, else whether its
         sub-structure lacks the symmetry the kind requires."""
         vmask, edges = self.pick(mask)
-        size = vmask.bit_count()
-        if size < 2 or (size == self.n and not (self.kind.spanning and mask != self.full)):
+        if not self.in_scope(vmask.bit_count(), mask):
             return None
         _, n, sub_edges = self.sub(vmask, edges)
         return self.symmetry(n, sub_edges, self.ordered) is None
 
-    def picked(self, masks: np.ndarray) -> np.ndarray:
-        """Per mask, its picked edges as bools, and a last column that
-        is never picked: an edge mask's own bits, else the edges inside
-        the vertex mask."""
-        m = len(self.edges)
-        picked = np.zeros((len(masks), m + 1), dtype=bool)
-        if self.kind.induced:
-            bits = np.array(self.edge_bits, dtype=np.int64)
-            picked[:, :m] = masks[:, None] & bits == bits
-        else:
-            picked[:, :m] = masks[:, None] >> np.arange(m) & 1
-        return picked
+    def in_scope(self, size, mask):
+        """Whether the pick of a mask with `size` chosen vertices is in
+        scope; on ints or, elementwise, on arrays."""
+        return (size >= 2) & ((size < self.n) | (self.kind.spanning & (mask != self.full)))
 
     def incidence(self) -> np.ndarray:
         """Per vertex, its incident edges as bits of int64 words, `_WORD`
@@ -134,13 +126,13 @@ def _support_twins(
 
 
 def _edge_blocks(subsets: _Subsets):
-    """Edge masks from 1 in blocks: masks, support sizes, twins.  An
-    edge mask is its own pick."""
+    """Edge masks from 1 in blocks: masks, support sizes, twins, picks.
+    An edge mask is its own pick, a row of one int64 word."""
     inc = subsets.incidence()
     step = max(1, _BLOCK // (subsets.n or 1))
     for lo in range(1, subsets.full + 1, step):
-        masks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)
-        yield (masks, *_support_twins(masks[:, None], inc, subsets.ordered))
+        picks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)[:, None]
+        yield (picks[:, 0], *_support_twins(picks, inc, subsets.ordered), picks)
 
 
 def _picked_table(inc: np.ndarray, verts: range) -> np.ndarray:
@@ -153,16 +145,17 @@ def _picked_table(inc: np.ndarray, verts: range) -> np.ndarray:
 
 
 def _vertex_blocks(subsets: _Subsets):
-    """Vertex masks from 0 in aligned blocks of 2^lo: masks, sizes, twins.
+    """Vertex masks from 0 in aligned blocks of 2^lo: masks, sizes, twins, picks.
 
     A vertex mask S picks the edges inside it, one AND of two split
     tables: low[S mod 2^lo] & high[S >> lo].  Its twins are two chosen
     vertices outside the pick's support, or two support vertices with
     equal rows, which depends on the pick alone.  That test runs once
     per run of equal picks, the block's picks sorted by their first
-    word: once per distinct pick when they fit one word.  The low table
-    and each block's temporaries hold at most `_BLOCK` elements, and
-    the high table 2^(n - lo) rows.
+    word: once per distinct pick when they fit one word.  No sorted copy
+    outlives its step: the yielded picks are the only pick array a block
+    keeps.  The low table and each block's temporaries hold at most
+    `_BLOCK` elements, and the high table 2^(n - lo) rows.
     """
     inc = subsets.incidence()
     n, words = inc.shape
@@ -172,15 +165,14 @@ def _vertex_blocks(subsets: _Subsets):
     for hi in range(len(high)):
         picks = high[hi] & low
         order = np.argsort(picks[:, 0])
-        picks = picks[order]
-        first = np.ones(len(picks), dtype=bool)  # first of a run of equal picks
-        first[1:] = (picks[1:] != picks[:-1]).any(axis=1)
+        first = np.ones(len(picks), dtype=bool)  # first of a run of equal sorted picks
+        first[1:] = (np.diff(picks[order], axis=0) != 0).any(axis=1)
         distinct = np.empty(len(picks), dtype=np.intp)
         distinct[order] = np.cumsum(first) - 1
-        support, twins = _support_twins(picks[first], inc, subsets.ordered)
+        support, twins = _support_twins(picks[order[first]], inc, subsets.ordered)
         size = low_size + hi.bit_count()
         twins = (size - support[distinct] >= 2) | twins[distinct]
-        yield np.arange(hi << lo, (hi + 1) << lo, dtype=np.int64), size, twins
+        yield np.arange(hi << lo, (hi + 1) << lo, dtype=np.int64), size, twins, picks
 
 
 def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,11 +188,9 @@ def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, 
     m = len(edges)
     dtype = np.min_scalar_type(n)
     rows = np.full((m + 1, max([1, *map(len, edges)])), n, dtype=dtype)  # n pads, sorts last
-    around: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
         rows[i, : len(e)] = e
-        for v in set(e):
-            around[v].append(i)
+    around = _incidence(n, edges, False)  # a point a tuple repeats lists it twice
     verts = [v for v in range(n) if around[v]]
     meets = np.full((len(verts), max(map(len, around), default=0)), m)
     for row, v in zip(meets, verts):
@@ -225,17 +215,20 @@ def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, 
     return src, edge_of[run[m:]].reshape(src.shape), has_a
 
 
-def _swap_fixed(tables, subsets: _Subsets, masks: np.ndarray) -> np.ndarray:
-    """Per mask: whether some swap (a b) of `_swap_tables` maps every
-    picked edge to a picked edge, with a in the pick's support.  Such a
-    swap is an involution of the picked sub-structure; without a in the
-    support it would fix any pick.  Masks go in chunks of at most
-    `_BLOCK` mask × swap × edge cells."""
+def _swap_fixed(tables, m: int, picks: np.ndarray) -> np.ndarray:
+    """Per pick, edge i of m at bit i % `_WORD` of word i // `_WORD`:
+    whether some swap (a b) of `_swap_tables` maps every picked edge to
+    a picked edge, with a in the pick's support.  Such a swap is an
+    involution of the picked sub-structure; without a in the support it
+    would fix any pick.  Index m reads the sign bit, which no pick sets.
+    Picks go in chunks of at most `_BLOCK` pick × swap × edge cells."""
     src, img, has_a = tables
-    fixed = np.zeros(len(masks), dtype=bool)
+    word, bit = np.divmod(np.arange(m), _WORD)
+    word, bit = np.append(word, 0), np.append(bit, 63)
+    fixed = np.zeros(len(picks), dtype=bool)
     step = max(1, _BLOCK // (src.size or 1))
-    for lo in range(0, len(masks), step):
-        picked = subsets.picked(masks[lo : lo + step])
+    for lo in range(0, len(picks), step):
+        picked = (picks[lo : lo + step, word] >> bit & 1).astype(bool)
         hit = picked[:, src]
         kept = ~(hit & ~picked[:, img]).any(axis=2)
         fixed[lo : lo + step] = ((hit & has_a).any(axis=2) & kept).any(axis=1)
@@ -248,27 +241,28 @@ def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
     Every non-empty edge subset counts as checked (2^m - 1 in all), as
     it stands for its vertex extensions; vertex subsets count only in
     scope (2^n - n - 2 in all).  A block of masks comes with each
-    mask's chosen-vertex count and twin verdict.  An edge mask is its
-    own pick (`_edge_blocks`); a vertex mask's pick is one AND of two
-    split tables, and the twin test runs once per distinct pick of its
-    block (`_vertex_blocks`).  Twins swap, an involution.  The in-scope
-    masks without twins next meet the transposition test
-    (`_swap_fixed`, over tables built on the first block that needs
-    them), and only masks with no fixing swap reach `subsets.test`.
-    A swap is an involution too, so no skipped mask is a violation.
+    mask's chosen-vertex count, twin verdict and pick.  An edge mask is
+    its own pick (`_edge_blocks`); a vertex mask's pick is one AND of
+    two split tables, and the twin test runs once per distinct pick of
+    its block (`_vertex_blocks`).  Twins swap, an involution.  The
+    in-scope masks without twins next meet the transposition test on
+    their picks (`_swap_fixed`, over tables built on the first block
+    that needs them), and only masks with no fixing swap reach
+    `subsets.test`.  A swap is an involution too, so no skipped mask
+    is a violation.
     """
     n, m, kind = subsets.n, len(subsets.edges), subsets.kind
     if not kind.induced and m > _WORD:
         raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
     checked, tables = 0, None
-    for masks, size, twins in (_vertex_blocks if kind.induced else _edge_blocks)(subsets):
-        in_scope = (size >= 2) & ((size < n) | (kind.spanning & (masks != subsets.full)))
+    for masks, size, twins, picks in (_vertex_blocks if kind.induced else _edge_blocks)(subsets):
+        in_scope = subsets.in_scope(size, masks)
         counted = in_scope | (not kind.induced)
         survivors = np.flatnonzero(in_scope & ~twins)
         if survivors.size:
             if tables is None:
                 tables = _swap_tables(n, subsets.edges, subsets.ordered)
-            survivors = survivors[~_swap_fixed(tables, subsets, masks[survivors])]
+            survivors = survivors[~_swap_fixed(tables, m, picks[survivors])]
         for i in survivors.tolist():
             if subsets.test(int(masks[i])):
                 return int(masks[i]), checked + int(counted[: i + 1].sum())

@@ -123,6 +123,17 @@ def test_aut_reports_group(capsys, tmp_path):
     assert any(line.startswith("perm ") for line in lines)
 
 
+@pytest.mark.parametrize("command", [["aut"], ["verify", "--property", "asymmetric"]])
+def test_input_and_family_exclude_each_other(capsys, tmp_path, command):
+    # the ring's group has order 1 and gk(4)'s order 2: neither may win silently
+    path = tmp_path / "ring.hgf"
+    run(capsys, "gen", "--family", "gkt-circ", "--k", "3", "--t", "1", "-o", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--family", "gk", "--k", "4", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_aut_on_stdin(capsys, monkeypatch):
     import io
 
@@ -301,6 +312,22 @@ def test_search_checkpoint_half_mismatch(capsys, tmp_path):
     assert "half=False, not k=3 n=5 half=True" in err
 
 
+def test_search_checkpoint_must_be_a_point_of_the_scan(capsys, tmp_path):
+    # (3, 6) has asymmetric 3-graphs, so a scan of it fails; a resume must
+    # not trust a checkpoint whose last mask or count no scan reaches
+    ck = tmp_path / "scan.ck"
+    args = ("search", "all-symmetric", "--k", "3", "--n", "6", "--checkpoint", str(ck))
+    for last, scanned in ((99999999, 5), (1 << 20, 1 << 20), (-1, 0), (65535, 7), (65535, 65537)):
+        ck.write_text(f"k=3 n=6 half=0 last_mask={last} scanned={scanned}\n")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), (last, scanned)
+        assert "no scan counts" in err
+    ck.unlink()
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    assert out.splitlines()[0] == "false"
+
+
 def test_search_checkpoint_mismatch(capsys, tmp_path):
     ck = tmp_path / "scan.ck"
     ck.write_text("2 6 100\n")
@@ -332,6 +359,18 @@ def test_wide_exhaustive_edge_scan_exits_three(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:  # the flag is gone
         main([*argv, "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_search_refuses_edge_size_below_one(capsys):
+    # no class may be built on the empty edge
+    for argv in (
+        ("enum", "--k", "0", "--n", "3"),
+        ("min-order", "--k", "0", "--n-max", "3"),
+        ("min-order", "--k", "0", "--n-max", "1"),
+    ):
+        code, out, err = run(capsys, "search", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "at least 1" in err
 
 
 def test_search_missing_parameters(capsys):

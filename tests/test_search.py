@@ -464,6 +464,41 @@ def test_resume_skips_scanned_prefix():
     assert partial.all_symmetric
 
 
+def test_scan_start_lies_in_the_space():
+    assert verify_lemma_all_symmetric(3, 5, start_mask=1024).scanned == 0
+    for start in (-3, -1, 1025):
+        with pytest.raises(ValueError, match="start mask"):
+            verify_lemma_all_symmetric(3, 5, start_mask=start)
+    # the scan guard comes first, before any 2^C(n,k) is formed
+    for start in (0, -1):
+        with pytest.raises(ResourceGuardError):
+            verify_lemma_all_symmetric(20, 40, start_mask=start)
+
+
+def test_resume_point_checks_the_checkpoint_against_the_scan(tmp_path):
+    path = str(tmp_path / "scan.ck")
+    first_block = sum(math.comb(16, j) for j in range(9))
+    write_checkpoint(path, 16, 17, True, (1 << 16) - 1, first_block)
+    assert search_mod.resume_point(path, 16, 17, True) == (1 << 16, first_block)
+    with pytest.raises(ValueError, match="half=True, not k=16 n=17 half=False"):
+        search_mod.resume_point(path, 16, 17, False)
+    for last, scanned in ((-1, 0), (1 << 17, 1 << 16), ((1 << 16) - 1, first_block + 1)):
+        write_checkpoint(path, 16, 17, True, last, scanned)
+        with pytest.raises(ValueError, match="no scan counts"):
+            search_mod.resume_point(path, 16, 17, True)
+    # every checkpoint a scan writes resumes
+    verify_lemma_all_symmetric(3, 5, checkpoint_path=path)
+    assert search_mod.resume_point(path, 3, 5, False) == (1024, 1024)
+
+
+def test_edge_size_below_one_is_refused():
+    for call in (scan_classes, enumerate_k_graphs, find_minimal_asymmetric, min_asymmetric_order):
+        with pytest.raises(ValueError, match="at least 1"):
+            call(0, 3)
+    with pytest.raises(ValueError, match="at least 1"):
+        min_asymmetric_order(0, 1)  # no n in 2..1 to build an edge space on
+
+
 def test_resumed_half_scan_checkpoints_the_cumulative_count(tmp_path):
     # 16-graphs on 17 points: two blocks of masks, all symmetric
     full = verify_lemma_all_symmetric(16, 17, half=True)

@@ -258,9 +258,9 @@ def test_twin_sieve_scan_matches_the_ascending_loop(monkeypatch):
     fired = {kind: 0 for kind in verify_mod._KINDS.values()}  # masks the swap sieve drops
     sieve = verify_mod._swap_fixed
 
-    def counting(tables, subsets, masks):
-        fixed = sieve(tables, subsets, masks)
-        fired[subsets.kind] += int(fixed.sum())
+    def counting(tables, m, picks):
+        fixed = sieve(tables, m, picks)
+        fired[subsets.kind] += int(fixed.sum())  # the scan under way
         return fixed
 
     monkeypatch.setattr(verify_mod, "_swap_fixed", counting)
@@ -321,7 +321,7 @@ def test_swap_sieve_finds_a_swap_inside_tuples(monkeypatch):
     # and {1, 2} the asymmetric arc (1, 2), the first violation.
     subsets = verify_mod._Subsets(3, [(0, 1), (1, 0), (1, 2)], True, "induced")
     tables = verify_mod._swap_tables(3, subsets.edges, True)
-    fixed = verify_mod._swap_fixed(tables, subsets, np.array([3, 5, 6]))
+    fixed = verify_mod._swap_fixed(tables, 3, np.array([[0b011], [0], [0b100]]))
     assert fixed.tolist() == [True, False, False]
     expected = _ascending_scan(subsets)
     tested = _tested_masks(monkeypatch)
@@ -397,7 +397,7 @@ def test_multi_block_induced_scans_match_the_ascending_loop():
                 blocks = list(verify_mod._vertex_blocks(subsets))
                 step = len(blocks[0][0])
                 assert step == 1 << 12 and len(blocks) == 1 << (n - 12)
-                masks, size, twins = (np.concatenate(part) for part in zip(*blocks))
+                masks, size, twins, _ = (np.concatenate(part) for part in zip(*blocks))
                 assert (masks == np.arange(1 << n)).all()
                 # each side of every block boundary against the sub-structure itself
                 for mask in (b + side for b in range(step, 1 << n, step) for side in (-1, 0)):
