@@ -6,6 +6,8 @@ canonical forms), verifying minimality properties by subgraph scans,
 and searching labeled or class-level graph spaces.
 """
 
+from types import ModuleType as _Module
+
 from .autom import (
     AutomResult,
     automorphisms,
@@ -35,7 +37,6 @@ from .constructions import (
 from .errors import ResourceGuardError
 from .hypergraph import (
     Hypergraph,
-    SubgraphSpec,
     degree,
     degrees,
     induced_sub,
@@ -46,8 +47,6 @@ from .hypergraph import (
     relabel,
     serialize_labels,
     set_complement,
-    sub_from_spec,
-    support,
     to_hgf,
     to_hgf_stream,
 )
@@ -104,91 +103,5 @@ from .verify import (
 )
 
 __version__ = VERSION
-
-__all__ = [
-    "AutomResult",
-    "FamilyBuild",
-    "Hypergraph",
-    "LemmaScan",
-    "RelationalStructure",
-    "ResourceGuardError",
-    "SearchOutcome",
-    "SubgraphSpec",
-    "VERSION",
-    "VerificationReport",
-    "automorphisms",
-    "automorphisms_rel",
-    "automorphisms_stabilizing",
-    "brute_force_automorphisms",
-    "brute_force_automorphisms_rel",
-    "build_family",
-    "canonical_form",
-    "canonical_key",
-    "canonical_key_rel",
-    "classes_by_edge_count",
-    "compose",
-    "cycles",
-    "cyclic_closure",
-    "degree",
-    "degrees",
-    "enumerate_k_graphs",
-    "find_minimal_asymmetric",
-    "find_nonidentity_automorphism",
-    "find_nonidentity_automorphism_rel",
-    "from_cycles",
-    "gen_asym_witness_2graph",
-    "gen_figure2",
-    "gen_gk",
-    "gen_gk_star",
-    "gen_gks",
-    "gen_gkt",
-    "gen_gkt_circ",
-    "gen_hcirc",
-    "gen_r3t",
-    "gen_single_arc",
-    "gk_reflection",
-    "group_order",
-    "has_involution",
-    "hcirc_labels",
-    "identity",
-    "induced_rel",
-    "induced_sub",
-    "inverse",
-    "is_asymmetric",
-    "is_asymmetric_rel",
-    "is_automorphism",
-    "is_critical_asymmetric",
-    "is_cyclic",
-    "is_involution",
-    "is_k_uniform",
-    "min_asymmetric_order",
-    "multiplicity",
-    "order",
-    "parse_hgf",
-    "parse_hgf_stream",
-    "parse_rel",
-    "perm_line",
-    "r3t_labels",
-    "random_perm",
-    "read_checkpoint",
-    "relabel",
-    "scan_classes",
-    "serialize_labels",
-    "serialize_report",
-    "set_complement",
-    "sub_from_spec",
-    "support",
-    "tilde",
-    "tilde_labels",
-    "to_hgf",
-    "to_hgf_stream",
-    "to_rel",
-    "transposition",
-    "verify_asymmetric",
-    "verify_lemma_all_symmetric",
-    "verify_minimal_asymmetric",
-    "verify_minimal_asymmetric_rel",
-    "verify_minimal_involution_free",
-    "verify_strongly_minimal",
-    "write_checkpoint",
-]
+# the public names bound above, submodules left out
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _Module))

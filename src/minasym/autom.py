@@ -267,7 +267,16 @@ class _Engine:
         already or a walk has run to its end."""
         if not (self._done or stop()):
             self._gens, self._levels = [], []
-            self._done = not self._walk(self.base, (), stop)
+            self._done = not self._recurse(self._walk, self.base, (), stop)
+
+    def _recurse(self, search: Callable, *args):
+        """`search(*args)`, one of the recursive searches, whose depth
+        grows with n: a tree deeper than the recursion limit is refused."""
+        try:
+            return search(*args)
+        except RecursionError:
+            msg = f"search tree on n = {self.n} points is deeper than the recursion limit"
+            raise ResourceGuardError(msg) from None
 
     def _walk(self, state, prefix: tuple, stop: Callable[[], object]) -> bool:
         """Walk the identity path, deepest level first; return True, ending
@@ -325,7 +334,7 @@ class _Engine:
         for v in cell[1:]:
             dom = self._individualize(self._individualize(state, t), v)
             cod = self._individualize(self._individualize(state, v), t)
-            x = self._find_ext(dom, cod, prefix + (v, t))
+            x = self._recurse(self._find_ext, dom, cod, prefix + (v, t))
             if x is not None:
                 return power(x, order(x) // 2)
         raise AssertionError("even orbit on the walk but no automorphism swaps its point")

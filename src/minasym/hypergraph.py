@@ -58,18 +58,6 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-@dataclass(frozen=True)
-class SubgraphSpec:
-    """A sub-hypergraph given by kept vertices and kept edge indices."""
-
-    vertices: tuple[int, ...]
-    edge_indices: tuple[int, ...]
-
-    def __init__(self, vertices: Iterable[int], edge_indices: Iterable[int] = ()):
-        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
-        object.__setattr__(self, "edge_indices", tuple(sorted(set(edge_indices))))
-
-
 def degree(h: Hypergraph, v: int) -> int:
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range")
@@ -124,28 +112,6 @@ def induced_sub(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """
     n, edges = _restrict(h.n, h.edges, vertices)
     return Hypergraph(n, edges, k=h.k)
-
-
-def sub_from_spec(h: Hypergraph, spec: SubgraphSpec) -> Hypergraph:
-    """Sub-hypergraph with chosen vertices and a subset of their edges."""
-    keep = set(spec.vertices)
-    chosen = []
-    for ei in spec.edge_indices:
-        if not 0 <= ei < h.m:
-            raise ValueError(f"edge index {ei} out of range")
-        if not keep.issuperset(h.edges[ei]):
-            raise ValueError(f"edge {h.edges[ei]!r} not inside kept vertices")
-        chosen.append(h.edges[ei])
-    n, edges = _restrict(h.n, chosen, keep)
-    return Hypergraph(n, edges, k=h.k)
-
-
-def support(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted union of the chosen edges."""
-    verts: set[int] = set()
-    for ei in edge_indices:
-        verts.update(h.edges[ei])
-    return tuple(sorted(verts))
 
 
 def relabel(h: Hypergraph, p: Perm) -> Hypergraph:

@@ -115,14 +115,18 @@ def _anchored_ring_tuples(t: int):
     return base.graph.n, tuples, base.labels
 
 
+def _build_r3t(t: int):
+    if t < 1:
+        raise ValueError("need t >= 1")
+    n, tuples, labels = _anchored_ring_tuples(t)
+    return RelationalStructure(n, 3, tuples), labels
+
+
 def gen_r3t(t: int) -> RelationalStructure:
     """Ternary relation of multiplicity two derived from the anchored
     ring; asymmetric while every proper induced substructure is
     symmetric."""
-    if t < 1:
-        raise ValueError("need t >= 1")
-    n, tuples, _ = _anchored_ring_tuples(t)
-    return RelationalStructure(n, 3, tuples)
+    return _build_r3t(t)[0]
 
 
 def r3t_labels(t: int) -> tuple[str, ...]:
@@ -162,8 +166,8 @@ def hcirc_labels(k: int, t: int) -> tuple[str, ...]:
 # family token -> (the parameters it needs, builder of (structure, labels))
 _FAMILIES = {
     "single-arc": ((), lambda: (gen_single_arc(), ("v0", "v1"))),
-    "r3t": (("t",), lambda t: (gen_r3t(t), r3t_labels(t))),
-    "hcirc": (("k", "t"), lambda k, t: (gen_hcirc(k, t), hcirc_labels(k, t))),
+    "r3t": (("t",), _build_r3t),
+    "hcirc": (("k", "t"), _build_hcirc),
 }
 
 

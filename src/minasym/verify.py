@@ -274,10 +274,13 @@ def _sample(
     subsets: _Subsets, samples: int, seed: int, stratified: bool
 ) -> tuple[Optional[int], int]:
     """First violating mask among `samples` seeded draws in scope, plus
-    the number of draws checked; out-of-scope draws are redrawn."""
+    the number of draws checked; out-of-scope draws are redrawn.  Past
+    the self-check, a scan of fewer than two bits has no pick in scope."""
     rng = random.Random(seed)
     checked = misses = 0
     while checked < samples:
+        if subsets.bits < 2 or misses > 10000 + 10 * samples:
+            raise ValueError("cannot draw valid subgraph samples")
         if stratified:
             picked = rng.sample(range(subsets.bits), rng.randrange(1, subsets.bits))
             mask = sum(1 << i for i in picked)
@@ -286,8 +289,6 @@ def _sample(
         bad = subsets.test(mask)
         if bad is None:
             misses += 1
-            if misses > 10000 + 10 * samples:
-                raise ValueError("cannot draw valid subgraph samples")
             continue
         checked += 1
         if bad:

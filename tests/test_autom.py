@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 import weakref
 from collections import Counter
@@ -16,6 +17,7 @@ from minasym import (
     RelationalStructure,
     ResourceGuardError,
     automorphisms,
+    automorphisms_rel,
     automorphisms_stabilizing,
     brute_force_automorphisms,
     canonical_form,
@@ -555,6 +557,30 @@ def test_stabilizer_rejects_bad_vertices():
     h = Hypergraph(3, [(0, 1)])
     with pytest.raises(ValueError):
         automorphisms_stabilizing(h, [0, 5])
+
+
+def test_search_trees_deeper_than_the_recursion_limit_are_refused(monkeypatch):
+    # refinement never splits an empty structure, so its identity path has
+    # n - 1 levels, one recursion frame each
+    n = 2 * sys.getrecursionlimit()
+    for query, structure in (
+        (automorphisms, Hypergraph(n, [])),
+        (canonical_key, Hypergraph(n, [])),
+        (automorphisms_rel, RelationalStructure(n, 1, [])),
+    ):
+        with pytest.raises(ResourceGuardError, match=f"n = {n} points"):
+            query(structure)
+    assert not is_asymmetric(Hypergraph(n, []))  # the twin swap needs no walk
+    # the involution search below the walk is guarded too
+    engine = structure_engine(4, [(0, 1), (1, 2), (2, 3), (0, 3)], False)
+    assert engine.order() == 8
+
+    def overflow(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(engine, "_find_ext", overflow)
+    with pytest.raises(ResourceGuardError, match="n = 4 points"):
+        engine.find_involution()
 
 
 def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):

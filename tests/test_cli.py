@@ -111,6 +111,23 @@ def test_gen_relational_family(capsys, tmp_path):
     assert len(labels_file.read_text().splitlines()) == 7
 
 
+def test_gen_relational_families_build_the_ring_once(capsys, monkeypatch):
+    import minasym.relations as relations_mod
+
+    calls, build_family = [], relations_mod.build_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_family(*args, **kwargs)
+
+    monkeypatch.setattr(relations_mod, "build_family", counted)
+    for argv in (["--family", "r3t", "--t", "1"], ["--family", "hcirc", "--k", "4", "--t", "1"]):
+        calls.clear()
+        code, _, _ = run(capsys, "gen", *argv, "--labels-out", os.devnull)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
 def test_aut_reports_group(capsys, tmp_path):
     path = tmp_path / "g.hgf"
     path.write_text(to_hgf(gen_gk(4)))
@@ -121,6 +138,15 @@ def test_aut_reports_group(capsys, tmp_path):
     assert "asymmetric false" in lines
     assert "involution 6 5 4 3 2 1 0" in lines
     assert any(line.startswith("perm ") for line in lines)
+
+
+def test_aut_refuses_a_search_tree_deeper_than_the_recursion_limit(capsys, tmp_path):
+    n = 2 * sys.getrecursionlimit()
+    path = tmp_path / "empty.hgf"
+    path.write_text(f"{n} 0 0\n")
+    code, out, err = run(capsys, "aut", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: search tree on n = {n} points is deeper than the recursion limit\n"
 
 
 @pytest.mark.parametrize("command", [["aut"], ["verify", "--property", "asymmetric"]])
@@ -191,6 +217,19 @@ def test_verify_sampled_needs_a_sample(capsys):
         )
         assert (code, out) == (2, "")
         assert "at least one sample" in err
+
+
+def test_verify_sampled_refuses_a_scan_of_one_bit(capsys, tmp_path):
+    # one edge on one vertex: no edge subset spans two vertices
+    path = tmp_path / "g.hgf"
+    path.write_text("1 1 1\n0\n")
+    for extra in ([], ["--stratified"]):
+        code, out, err = run(
+            capsys,
+            "verify", "--input", str(path), "--property", "minimal-involution-free",
+            "--mode", "sampled", "--seed", "1", *extra,
+        )
+        assert (code, out, err) == (2, "", "error: cannot draw valid subgraph samples\n"), extra
 
 
 def test_verify_sampled_runs_with_seed(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from minasym import (
     Hypergraph,
-    SubgraphSpec,
     automorphisms,
     degree,
     degrees,
@@ -20,8 +19,6 @@ from minasym import (
     relabel,
     serialize_labels,
     set_complement,
-    sub_from_spec,
-    support,
     to_hgf,
     to_hgf_stream,
 )
@@ -101,26 +98,6 @@ def test_induced_sub_keeps_contained_edges():
     assert sub.edges == ((0, 2, 3), (1, 2, 3))
     assert induced_sub(h, range(6)) == h
     assert induced_sub(h, []).n == 0
-
-
-def test_sub_from_spec_takes_chosen_edges():
-    h = Hypergraph(6, [(0, 1, 2), (1, 3, 4), (2, 3, 4)])
-    spec = SubgraphSpec([1, 2, 3, 4], [2])
-    sub = sub_from_spec(h, spec)
-    assert sub.n == 4
-    assert sub.edges == ((1, 2, 3),)
-    with pytest.raises(ValueError):
-        sub_from_spec(h, SubgraphSpec([1, 2], [0]))
-    with pytest.raises(ValueError):
-        sub_from_spec(h, SubgraphSpec([0, 1, 2], [9]))
-
-
-def test_support_is_edge_union():
-    h = Hypergraph(7, [(0, 1, 2), (4, 5, 6), (2, 3, 4)])
-    assert h.edges == ((0, 1, 2), (2, 3, 4), (4, 5, 6))
-    assert support(h, [0]) == (0, 1, 2)
-    assert support(h, [0, 2]) == (0, 1, 2, 4, 5, 6)
-    assert support(h, []) == ()
 
 
 def test_relabel_and_is_automorphism():
