@@ -101,6 +101,8 @@ def _anchored_ring_tuples(t: int):
     """Arity-3 tuple pairs read off the anchored ring on 3t+1 hubs: each
     chain edge becomes two tuples that agree on the designated third
     coordinate (the next ring vertex; the anchor for the extra edge)."""
+    if t < 1:
+        raise ValueError("need t >= 1")
     base = build_family("gkt-circ", k=3, t=t)
     index = {lab: i for i, lab in enumerate(base.labels)}
     ring = 3 * t
@@ -116,8 +118,6 @@ def _anchored_ring_tuples(t: int):
 
 
 def _build_r3t(t: int):
-    if t < 1:
-        raise ValueError("need t >= 1")
     n, tuples, labels = _anchored_ring_tuples(t)
     return RelationalStructure(n, 3, tuples), labels
 
@@ -136,8 +136,6 @@ def r3t_labels(t: int) -> tuple[str, ...]:
 def _build_hcirc(k: int, t: int):
     if k < 4:
         raise ValueError("need arity k >= 4")
-    if t < 1:
-        raise ValueError("need t >= 1")
     n, base_tuples, labels = _anchored_ring_tuples(t)
     labels = list(labels)
     # base_tuples come in pairs per underlying edge, in edge order

@@ -1,8 +1,8 @@
 """Exhaustive scans and isomorph-free enumeration of small k-graphs.
 
-Two independent enumeration strategies cover the same ground: orbit
-minima propagated over all labeled edge sets along the adjacent
-transpositions, where an orbit of n! masks is an asymmetric class, and
+Two independent enumeration strategies cover the same ground: exact
+orbit minima of all labeled edge sets, by popcount or a transversal
+chain of S_n, where an orbit of n! masks is an asymmetric class, and
 canonical augmentation growing one edge at a time.  Their class counts
 must agree; tests enforce it.  Augmentation keeps a child when its
 added edge lies in the orbit of the canonical deletion, picked by
@@ -88,9 +88,10 @@ class _Remap:
             t = np.concatenate([t, t | bit])
         return t
 
-    def span(self, lo: int, hi: int) -> np.ndarray:
-        """Images of masks lo..hi-1; lo and hi are multiples of 2^lo_bits."""
-        return (self.hi[lo >> self.lo_bits : hi >> self.lo_bits, None] | self.lo).ravel()
+    def span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Images of masks lo..hi-1 into the intp `out`; lo and hi are multiples of 2^lo_bits."""
+        rows = self.hi[lo >> self.lo_bits : hi >> self.lo_bits, None]
+        return np.bitwise_or(rows, self.lo, out=out.reshape(rows.size, -1)).ravel()
 
 
 def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
@@ -162,9 +163,7 @@ def verify_lemma_all_symmetric(
     return LemmaScan(k, n, total, scanned, bad is None, witness)
 
 
-def min_asymmetric_order(
-    k: int, n_max: int
-) -> tuple[Optional[int], Optional[Hypergraph]]:
+def min_asymmetric_order(k: int, n_max: int) -> tuple[Optional[int], Optional[Hypergraph]]:
     """Least n in 2..n_max carrying an asymmetric k-graph, with witness.
 
     One-vertex structures are ignored as trivially asymmetric.
@@ -177,37 +176,41 @@ def min_asymmetric_order(
     return None, None
 
 
-def _orbit_census(k: int, n: int) -> list[tuple[int, bool]]:
-    """(orbit-minimum mask, asymmetric) for each isomorphism class of
-    k-graphs on n vertices, in mask order."""
-    return _orbits(k, n)[1]
-
-
 def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
-    """`least`, each mask's orbit minimum by mask, and `_orbit_census`.
+    """`least`, each mask's orbit minimum by mask, and the census:
+    (orbit-minimum mask, asymmetric) for each isomorphism class of
+    k-graphs on n vertices, in mask order.
 
-    Sweeping `least[x] = min(least[x], least[g(x)])` over the adjacent
-    transpositions g, with pointer jumping, to a fixpoint leaves each
-    mask's orbit minimum in `least` (the orbit algorithm on the Schreier
-    graph; Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-    2005, 4.1).  By orbit-stabiliser an orbit of n! masks is asymmetric.
+    For k = 1 or k >= n - 1, S_n moves the edges as it moves the points,
+    so the orbits are the popcount classes.  Otherwise, as T_j = {id} and
+    the (i j), i < j, is a transversal of S_j in S_(j+1), j = 1..n-1 gives
+    least_(j+1)[x] = min over t in T_j of least_j[t(x)] (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  One
+    array serves every level: each value it holds at y is a mask of y's
+    S_(j+1)-orbit and at most least_j[y], so a min over T_j that mixes
+    old and new values is still exactly least_(j+1)[x].  By
+    orbit-stabiliser an orbit of n! masks is asymmetric.
     """
     edges = _edge_space(n, k)
-    total = 1 << len(edges)
-    gens = [_Remap(transposition(n, v, v + 1), edges) for v in range(n - 1)]
+    c = len(edges)
+    total = 1 << c
     least = np.arange(total, dtype=np.int32)
-    # Blocks of _CHUNK masks, 2^lo_bits-aligned for `_Remap.span`, keep the temporaries small.
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    while True:
-        before = int(least.sum(dtype=np.int64))
+    # Blocks of _CHUNK masks (or one of all), 2^lo_bits-aligned for `_Remap.span`, keep the
+    # temporaries small.  The space has a power-of-two size, so every block has `block` masks.
+    block = min(total, _CHUNK)
+    spans = [(lo, lo + block) for lo in range(0, total, block)]
+    if k == 1 or k >= n - 1:
+        for lo, hi in spans:  # int32 before the shift: 1 << 8 wraps in bitwise_count's uint8
+            least[lo:hi] = (1 << np.bitwise_count(least[lo:hi]).astype(np.int32)) - 1
+        return least, [((1 << p) - 1, math.comb(c, p) == math.factorial(n)) for p in range(c + 1)]
+    # Reused buffers: fresh block temporaries would fault in their pages on every gather.
+    idx, vals = np.empty(block, dtype=np.intp), np.empty(block, dtype=np.int32)
+    for j in range(1, n):
+        coset = [_Remap(transposition(n, i, j), edges) for i in range(j)]
         for lo, hi in spans:
-            part = least[lo:hi]
-            for remap in gens:
-                np.minimum(part, least.take(remap.span(lo, hi)), out=part)
-            part[:] = least.take(part)
-        # least only ever falls, so an unchanged sum means a fixpoint.
-        if int(least.sum(dtype=np.int64)) == before:
-            break
+            for remap in coset:  # `clip` never clips here; it skips `raise`'s buffered copy
+                least.take(remap.span(lo, hi, idx), out=vals, mode="clip")
+                np.minimum(least[lo:hi], vals, out=least[lo:hi])
     # Orbit minima are the fixed points of least; an orbit's size is how many masks point at it.
     reps = np.concatenate([np.flatnonzero(least[lo:hi] == np.arange(lo, hi)) + lo for lo, hi in spans])
     sizes = np.zeros(reps.size, dtype=np.int64)
@@ -232,16 +235,15 @@ def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
     on n vertices, ordered by edge count then edge list.
 
     Labeled-scan strategy: every edge-set bitmask is mapped to the
-    least mask of its orbit under the vertex permutations, by orbit
-    propagation along the adjacent transpositions; orbit minima are the
-    class representatives.
+    least mask of its orbit under the vertex permutations (`_orbits`);
+    orbit minima are the class representatives.
     """
-    return _canonical_classes(k, n, [mask for mask, _ in _orbit_census(k, n)])
+    return _canonical_classes(k, n, [mask for mask, _ in _orbits(k, n)[1]])
 
 
 def scan_classes(k: int, n: int, keep_witnesses: bool = True) -> SearchOutcome:
     """Class census at (k, n); only the witnesses kept are canonicalised."""
-    census = _orbit_census(k, n)
+    census = _orbits(k, n)[1]
     asym = [mask for mask, asymmetric in census if asymmetric]
     return SearchOutcome(
         k=k,
@@ -358,7 +360,7 @@ def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
     """All class representatives on n vertices that are asymmetric with
     every non-trivial induced subgraph symmetric."""
     edges = _edge_space(n, k)
-    asym = [mask for mask, asymmetric in _orbit_census(k, n) if asymmetric]
+    asym = [mask for mask, asymmetric in _orbits(k, n)[1] if asymmetric]
     minimal = [mask for mask in asym if verify_minimal_asymmetric(_mask_graph(n, k, edges, mask)).holds]
     return _canonical_classes(k, n, minimal)
 

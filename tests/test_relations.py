@@ -190,6 +190,14 @@ def test_widened_relation_shape_and_fixed_points():
         gen_hcirc(4, 0)
 
 
+def test_ring_families_refuse_t_below_one_alike():
+    """The structure and its labels are read off one ring, so both
+    refuse t = 0 with the ring's own message."""
+    for build in (gen_r3t, r3t_labels, lambda t: gen_hcirc(4, t), lambda t: hcirc_labels(4, t)):
+        with pytest.raises(ValueError, match=r"^need t >= 1$"):
+            build(0)
+
+
 def test_verify_minimal_rel_rejects_symmetric_input():
     both = RelationalStructure(2, 2, [(0, 1), (1, 0)])
     rep = verify_minimal_asymmetric_rel(both)

@@ -32,7 +32,7 @@ from minasym import (
 import minasym.autom as autom_mod
 import minasym.search as search_mod
 from minasym.search import _CHUNK
-from util import oracle_automorphisms, oracle_nonidentity, perm_image
+from util import oracle_automorphisms, oracle_nonidentity, perm_image, sweep_orbits
 
 
 def test_full_scan_is_complete_when_symmetric():
@@ -227,11 +227,13 @@ def test_remap_span_equals_the_per_mask_image():
             for lo in range(0, total, _CHUNK):
                 hi = min(lo + _CHUNK, total)
                 masks = np.arange(lo, hi, dtype=np.int32)
-                assert np.array_equal(remap.span(lo, hi), _images(perm, edges, masks)), (k, n, perm, lo)
+                images = remap.span(lo, hi, np.empty(hi - lo, dtype=np.intp))
+                assert np.array_equal(images, _images(perm, edges, masks)), (k, n, perm, lo)
 
 
 def test_orbit_minima_match_the_full_group():
-    for k, n in ((2, 5), (3, 5), (1, 6)):
+    # (1, 6) and (6, 7): popcount classes; (2, 5) and (3, 5): the transversal chain
+    for k, n in ((2, 5), (3, 5), (1, 6), (6, 7)):
         edges = search_mod._edge_space(n, k)
         masks = np.arange(1 << len(edges), dtype=np.int32)
         least = masks.copy()
@@ -240,10 +242,22 @@ def test_orbit_minima_match_the_full_group():
         assert np.array_equal(search_mod._orbits(k, n)[0], least), (k, n)
 
 
+def test_orbit_minima_match_the_fixpoint_sweep():
+    """Every cell with at most 21 edges, plus (3, 6) and (20, 21): the
+    popcount classes past 8 edges, as at (1, 8) and (7, 8), need int32
+    shifts, and the chain must land where the sweep does."""
+    cells = [(k, n) for n in range(22) for k in range(1, n + 2) if math.comb(n, k) <= 21]
+    for k, n in cells + [(3, 6), (20, 21)]:
+        least, census = search_mod._orbits(k, n)
+        expected_least, expected_census = sweep_orbits(k, n)
+        assert least.dtype == expected_least.dtype and np.array_equal(least, expected_least), (k, n)
+        assert census == expected_census, (k, n)
+
+
 def test_orbit_census_pins_the_large_cells():
     # (3, 6): OEIS A000665; (20, 21): every 20-graph on 21 vertices is symmetric
     for k, n, classes, asymmetric in ((3, 6, 2136, 1010), (20, 21, 22, 0)):
-        census = search_mod._orbit_census(k, n)
+        census = search_mod._orbits(k, n)[1]
         assert len(census) == classes, (k, n)
         assert sum(asym for _, asym in census) == asymmetric, (k, n)
 
@@ -251,13 +265,15 @@ def test_orbit_census_pins_the_large_cells():
 def test_orbit_census_adds_no_full_space_temporary():
     """Block-sized temporaries only: the peak stays near `least` itself."""
     search_mod._orbits(2, 4)
-    tracemalloc.start()
-    try:
-        least, _ = search_mod._orbits(2, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * least.nbytes, peak / least.nbytes
+    # (2, 7): the transversal chain; (20, 21): the popcount classes
+    for k, n in ((2, 7), (20, 21)):
+        tracemalloc.start()
+        try:
+            least, _ = search_mod._orbits(k, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * least.nbytes, (k, n, peak / least.nbytes)
 
 
 def test_augmentation_is_duplicate_free():

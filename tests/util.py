@@ -4,12 +4,16 @@ oracles, kept independent of the package's search engine."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from itertools import chain
 from typing import Optional
 
-from minasym import Hypergraph, RelationalStructure
+import numpy as np
+
+from minasym import Hypergraph, RelationalStructure, transposition
+from minasym.search import _CHUNK, _edge_space, _Remap
 
 
 def random_uniform(rng: random.Random, n_lo: int = 2, n_hi: int = 7) -> Hypergraph:
@@ -255,3 +259,27 @@ def reference_base(engine, pinned=None) -> tuple:
             queue.append((side, start))
     state = (vcol, [0] * m, vorder, list(range(m))) + sizes
     return reference_refine(engine, state, queue)
+
+
+def sweep_orbits(k: int, n: int):
+    """`search._orbits` by the fixpoint sweep it replaced, kept as the
+    reference: `least[x] = min(least[x], least[g(x)])` over the adjacent
+    transpositions g, with pointer jumping, until nothing changes; then
+    (orbit minimum, orbit of n! masks) for each orbit, in mask order."""
+    edges = _edge_space(n, k)
+    total = 1 << len(edges)
+    gens = [_Remap(transposition(n, v, v + 1), edges) for v in range(n - 1)]
+    least = np.arange(total, dtype=np.int32)
+    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    while True:
+        before = int(least.sum(dtype=np.int64))
+        for lo, hi in spans:
+            part = least[lo:hi]
+            for remap in gens:
+                np.minimum(part, least.take(remap.span(lo, hi, np.empty(hi - lo, np.intp))), out=part)
+            part[:] = least.take(part)
+        if int(least.sum(dtype=np.int64)) == before:
+            break
+    reps, sizes = np.unique(least, return_counts=True)
+    order = math.factorial(n)
+    return least, [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
