@@ -15,13 +15,15 @@ One walk down the identity path of the search tree finds the first
 non-identity automorphism, a generating set, and the group order as the
 product of the path's orbit sizes; run with leaf keeping on, it is also
 the canonical labeling.  A query walks from the root until its answer
-is known, and no query walks again once a walk has run to its end.  By
-Cauchy's theorem an involution exists exactly when some orbit size on
-the path is even, and below the deepest even level every involution
-moves that level's path vertex, so `find_involution` searches only the
-swaps of that vertex.  The deterministic Schreier-Sims stabilizer chain
-(`group_order`) and a factorial brute-force oracle (n <= 9) are
-independent routes for cross-checking.
+is known, and no query walks again once a walk has run to its end.  The
+walk keeps its identity path, and a search that extends the path reads
+those states instead of refining them again.  By Cauchy's theorem an
+involution exists exactly when some orbit size on the path is even, and
+below the deepest even level every involution moves that level's path
+vertex, so `find_involution` searches only the swaps of that vertex.
+The deterministic Schreier-Sims stabilizer chain (`group_order`) and a
+factorial brute-force oracle (n <= 9) are independent routes for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ class _Engine:
                     queue.append((side, start))
         state = (vcol, [0] * self.m, vorder, list(range(self.m))) + sizes
         self.base = self._refine(state, queue)
-        # the last walk's generators and finished levels, whether it ran
-        # to its end, and the least leaf while canonical() keeps leaves
+        # the last walk's generators, finished levels and path by depth,
+        # whether it ran to its end, and the least leaf while canonical() keeps leaves
         self._gens: list[Perm] = []
         self._levels: list[tuple] = []
+        self._path: list[tuple] = []
         self._done = False
         self._keep = False
         self._least: Optional[tuple] = None
@@ -225,6 +228,9 @@ class _Engine:
         that fix cod's individualized `prefix`, holds no match either.
         While `canonical()` keeps leaves, nodes that cannot extend dom->cod
         are searched on with dom None, as they may hold the least leaf.
+        A dom on the walk's path that is compatible with cod selects the
+        walk's cell, so its t is the walk's vertex and its child the walk's
+        next path state, which is read, not refined again.
         """
         if dom is not None and not self._compatible(dom, cod):
             if not self._keep:
@@ -234,16 +240,21 @@ class _Engine:
         if color is None:
             self._offer(cod)
             return None if dom is None else self._extract(dom, cod)
-        t = None if dom is None else self._cell_members(dom, color)[0]
-        dom_next = None if dom is None else self._individualize(dom, t)
+        if dom is not None:
+            path = self._path[len(prefix):len(prefix) + 2]
+            t = self._cell_members(dom, color)[0]
+            dom = path[1] if path and path[0] is dom else self._individualize(dom, t)
         covered: set[int] = set()
+        fixing = None  # the generators fixing the prefix, from the first failed child
         for v in self._cell_members(cod, color):
             if v in covered:
                 continue
-            found = self._find_ext(dom_next, self._individualize(cod, v), prefix + (v,))
+            found = self._find_ext(dom, self._individualize(cod, v), prefix + (v,))
             if found is not None:
                 return found
-            covered |= _orbit_of(v, [g for g in self._gens if all(g[p] == p for p in prefix)])
+            if fixing is None:
+                fixing = [g for g in self._gens if all(g[p] == p for p in prefix)]
+            covered |= _orbit_of(v, fixing)
         return None
 
     def find_nonidentity(self) -> Optional[Perm]:
@@ -266,7 +277,7 @@ class _Engine:
         """Walk afresh from the base until `stop()` holds, unless it holds
         already or a walk has run to its end."""
         if not (self._done or stop()):
-            self._gens, self._levels = [], []
+            self._gens, self._levels, self._path = [], [], []
             self._done = not self._recurse(self._walk, self.base, (), stop)
 
     def _recurse(self, search: Callable, *args):
@@ -288,9 +299,11 @@ class _Engine:
         fixing the prefix reaches becomes a new representative, so the
         final orbit is t's full orbit under the prefix's stabilizer; a
         vertex in the orbit of one that reached none is skipped.  The
-        level goes to `_levels` as (orbit size, state, t, cell, prefix);
-        the product of the sizes is the group order by orbit-stabilizer.
+        level goes to `_levels` as (orbit size, state, t, cell, prefix),
+        and each path state to `_path` at its depth; the product of the
+        sizes is the group order by orbit-stabilizer.
         """
+        self._path.append(state)
         color = self._select_cell(state)
         if color is None:
             self._offer(state)
@@ -332,7 +345,7 @@ class _Engine:
             return None
         _, state, t, cell, prefix = even
         for v in cell[1:]:
-            dom = self._individualize(self._individualize(state, t), v)
+            dom = self._individualize(self._path[len(prefix) + 1], v)
             cod = self._individualize(self._individualize(state, v), t)
             x = self._recurse(self._find_ext, dom, cod, prefix + (v, t))
             if x is not None:

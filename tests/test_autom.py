@@ -359,6 +359,56 @@ def test_canonical_labeling_is_the_walk(monkeypatch):
         assert 0 < counts[1] <= counts[0], (name, counts)
 
 
+def test_each_state_is_individualized_once_per_query(monkeypatch):
+    """Searches that extend the identity path read the walk's states:
+    no engine query individualizes one state object at one vertex twice.
+    Across the queries of `automorphisms`, the one repeat is the swap:
+    `find_involution` individualizes its even level's state at a partner
+    the walk searched as a sibling.  The pairs are held, so ids stay
+    unique.  The `_refine` counts of `automorphisms` are pinned."""
+    individualize, refine, made, refined = _Engine._individualize, _Engine._refine, [], []
+    involution, swap_starts = _Engine.find_involution, []
+
+    def recorded(self, state, v):
+        made.append((state, v))
+        return individualize(self, state, v)
+
+    def counted(self, state, queue):
+        refined.append(1)
+        return refine(self, state, queue)
+
+    def swapping(self):
+        swaps = {(id(lv[1]), v) for lv in self._levels if lv[0] % 2 == 0 for v in lv[3][1:]}
+        swap_starts.append((len(made), swaps))
+        return involution(self)
+
+    monkeypatch.setattr(_Engine, "_individualize", recorded)
+    monkeypatch.setattr(_Engine, "_refine", counted)
+    monkeypatch.setattr(_Engine, "find_involution", swapping)
+    petersen = Hypergraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])
+    named = [(f"(2,6) class {i}", h)
+             for i, h in enumerate(h for _, level in classes_by_edge_count(6, 2) for h in level)]
+    named += [("Q_5", hypercube(5)), ("K_8", Hypergraph(8, itertools.combinations(range(8), 2))),
+              ("Petersen", petersen), ("empty(8)", Hypergraph(8))]
+    counts = {}
+    for name, h in named:
+        for query in (automorphisms, canonical_key):
+            for record in (made, refined, swap_starts):
+                record.clear()
+            query(h)
+            if query is automorphisms:
+                counts[name] = len(refined)
+            start, swaps = swap_starts[0] if swap_starts else (len(made), set())
+            for part in (made[:start], made[start:]):
+                assert max(Counter((id(s), v) for s, v in part).values(), default=1) == 1, name
+            again = {(id(s), v) for s, v in made[:start]} & {(id(s), v) for s, v in made[start:]}
+            assert again <= swaps, name
+    pinned = {"empty(8)": 36, "K_8": 39, "Q_5": 24, "Petersen": 18}  # 57, 61, 35, 25 before
+    assert {name: counts[name] for name in pinned} == pinned
+
+
 def test_known_group_orders():
     empty = Hypergraph(5)
     assert automorphisms(empty).group_order == 120
