@@ -21,6 +21,10 @@ those states instead of refining them again.  By Cauchy's theorem an
 involution exists exactly when some orbit size on the path is even, and
 below the deepest even level every involution moves that level's path
 vertex, so `find_involution` searches only the swaps of that vertex.
+Consecutive whole-structure queries (the group, the canonical key and
+the canonical form) on equal structures share one engine per thread,
+so the canonical walk runs once for both canonical queries; the
+twin-first asymmetry and involution queries do not share.
 The deterministic Schreier-Sims stabilizer chain (`group_order`) and a
 factorial brute-force oracle (n <= 9) are independent routes for
 cross-checking.
@@ -29,6 +33,7 @@ cross-checking.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations
@@ -282,12 +287,22 @@ class _Engine:
 
     def _recurse(self, search: Callable, *args):
         """`search(*args)`, one of the recursive searches, whose depth
-        grows with n: a tree deeper than the recursion limit is refused."""
+        grows with n: a tree deeper than the recursion limit is refused.
+        A search that fails leaves no walk behind: the engine drops its
+        walk's state and leaves this thread's memo."""
         try:
             return search(*args)
-        except RecursionError:
-            msg = f"search tree on n = {self.n} points is deeper than the recursion limit"
-            raise ResourceGuardError(msg) from None
+        except BaseException as exc:
+            self._gens, self._levels, self._path = [], [], []
+            self._done = self._keep = False
+            self._least = None
+            if _memo.engine is self:
+                _memo.key = _memo.engine = None
+            if not isinstance(exc, RecursionError):
+                raise
+        # raised outside the handler, so no context keeps the failed frames' states
+        msg = f"search tree on n = {self.n} points is deeper than the recursion limit"
+        raise ResourceGuardError(msg)
 
     def _walk(self, state, prefix: tuple, stop: Callable[[], object]) -> bool:
         """Walk the identity path, deepest level first; return True, ending
@@ -497,6 +512,35 @@ def structure_engine(
     return _Engine(n, edges, ordered, pinned, inc)
 
 
+class _Memo(threading.local):
+    """Per thread, the engine of the structure last queried whole, and
+    its key (n, edges, ordered, pinned set or None)."""
+
+    key: Optional[tuple] = None
+    engine: Optional[_Engine] = None
+
+
+_memo = _Memo()
+
+
+def _engine_of(
+    n: int,
+    edges: Sequence[tuple[int, ...]],
+    ordered: bool,
+    stabilize: Optional[Sequence[int]] = None,
+) -> _Engine:
+    """The engine this thread built here last if it is of the same
+    structure and stabilized set, else a new engine, which takes its
+    place: a held engine answers from the walks it has run."""
+    pinned = frozenset(stabilize if stabilize is not None else ()) or None
+    key = (n, tuple(edges), ordered, pinned)
+    if _memo.key != key:
+        _memo.key = _memo.engine = None  # the old engine goes before the new one is built
+        _memo.engine = structure_engine(n, edges, ordered, stabilize)
+        _memo.key = key
+    return _memo.engine
+
+
 def _twin_swap(inc: Sequence[tuple], stabilize: Optional[Sequence[int]] = None) -> Optional[Perm]:
     """Swap of two vertices with identical `_incidence` lists, if any.
 
@@ -571,7 +615,7 @@ def _assemble(
     ordered: bool,
     stabilize: Optional[Sequence[int]] = None,
 ) -> AutomResult:
-    engine = structure_engine(n, edges, ordered, stabilize)
+    engine = _engine_of(n, edges, ordered, stabilize)
     gens = engine.generators()
     order = engine.order()
     witness = None
@@ -632,11 +676,11 @@ def brute_force_structure(
 
 def canonical_key(h: Hypergraph) -> bytes:
     """Label-invariant key: equal exactly for isomorphic hypergraphs."""
-    enc, _ = structure_engine(h.n, h.edges, False).canonical()
+    enc, _ = _engine_of(h.n, h.edges, False).canonical()
     return repr(("H", enc)).encode()
 
 
 def canonical_form(h: Hypergraph) -> Hypergraph:
     """Canonically relabeled copy; a fixed point of re-canonicalization."""
-    enc, _ = structure_engine(h.n, h.edges, False).canonical()
+    enc, _ = _engine_of(h.n, h.edges, False).canonical()
     return Hypergraph(h.n, enc[1], k=h.k)

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .autom import AutomResult, _assemble, _nonidentity, brute_force_structure, structure_engine
+from .autom import AutomResult, _assemble, _engine_of, _nonidentity, brute_force_structure
 from .constructions import build_family
 from .hypergraph import _read_rows, _restrict, _write_rows
 from .perms import Perm
@@ -60,7 +60,7 @@ def find_nonidentity_automorphism_rel(r: RelationalStructure) -> Optional[Perm]:
 
 
 def canonical_key_rel(r: RelationalStructure) -> bytes:
-    enc, _ = structure_engine(r.n, r.tuples, ordered=True).canonical()
+    enc, _ = _engine_of(r.n, r.tuples, True).canonical()
     return repr(("R", r.arity, enc)).encode()
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autom import canonical_form, structure_engine
+from .autom import _Engine, canonical_form, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph, degrees
 from .perms import Perm, transposition
@@ -272,11 +272,10 @@ def _edge_orbit(
 
 def _augmentation_accepts(
     parent: Hypergraph, added: tuple[int, ...], deg: Sequence[int]
-) -> tuple[bool, Optional[list[Perm]]]:
+) -> tuple[bool, Optional[_Engine]]:
     """Canonical-deletion test for the child `parent` + `added`, where
     `deg` holds the parent's vertex degrees: (accepted, the child's
-    automorphism generators if step 3 ran the walk that finds them,
-    else None).
+    engine if the test built one and accepted the child, else None).
 
     The canonical deletion is picked in three isomorphism-invariant
     steps, each narrowing a kept set of the child's edges:
@@ -304,11 +303,12 @@ def _augmentation_accepts(
     engine = structure_engine(parent.n, edges, False)
     kept = _best(kept, engine.base[1].__getitem__)
     if kept[-1] != last or len(kept) == 1:
-        return kept == [last], None
-    _, sigma = engine.canonical()
-    gens = engine.generators()  # the walk canonical() finished
-    deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
-    return deletion == added or deletion in _edge_orbit(added, gens), gens
+        accepted = kept == [last]
+    else:
+        _, sigma = engine.canonical()
+        deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
+        accepted = deletion == added or deletion in _edge_orbit(added, engine.generators())
+    return accepted, engine if accepted else None
 
 
 def _best(kept: Iterable[int], score) -> list[int]:
@@ -330,16 +330,19 @@ def classes_by_edge_count(
     """
     all_edges = list(combinations(range(n), k))
     top = len(all_edges) if max_edges is None else min(max_edges, len(all_edges))
-    # Each class with its automorphism generators, when its acceptance
-    # test already found them; any generating set gives the same edge orbits.
-    current: list[tuple[Hypergraph, Optional[list[Perm]]]] = [(Hypergraph(n, (), k=k), None)]
+    # Each class with its engine, when its acceptance test built one, whose
+    # walk may have run already; any generating set gives the same edge orbits.
+    current: list[tuple[Hypergraph, Optional[_Engine]]] = [(Hypergraph(n, (), k=k), None)]
     yield 0, [current[0][0]]
     m = 0
     while m < top:
-        grown: list[tuple[Hypergraph, Optional[list[Perm]]]] = []
-        for parent, gens in current:
-            if gens is None:
-                gens = structure_engine(n, parent.edges, False).generators()
+        grown: list[tuple[Hypergraph, Optional[_Engine]]] = []
+        current.reverse()  # popped in order, each parent's engine freed once read
+        while current:
+            parent, engine = current.pop()
+            if engine is None:
+                engine = structure_engine(n, parent.edges, False)
+            gens = engine.generators()
             deg = degrees(parent)
             present = parent.edge_set()
             candidates = [e for e in all_edges if e not in present]
@@ -348,9 +351,9 @@ def classes_by_edge_count(
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
-                accepted, child_gens = _augmentation_accepts(parent, cand, deg)
+                accepted, child = _augmentation_accepts(parent, cand, deg)
                 if accepted:
-                    grown.append((Hypergraph(n, parent.edges + (cand,), k=k), child_gens))
+                    grown.append((Hypergraph(n, parent.edges + (cand,), k=k), child))
         m += 1
         yield m, [child for child, _ in grown]
         current = grown

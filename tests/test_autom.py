@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 import time
 import weakref
 from collections import Counter
@@ -613,6 +614,13 @@ def test_search_trees_deeper_than_the_recursion_limit_are_refused(monkeypatch):
     # refinement never splits an empty structure, so its identity path has
     # n - 1 levels, one recursion frame each
     n = 2 * sys.getrecursionlimit()
+    built = []
+
+    def recorded(*args):
+        built.append(structure_engine(*args))
+        return built[-1]
+
+    monkeypatch.setattr(autom_mod, "structure_engine", recorded)
     for query, structure in (
         (automorphisms, Hypergraph(n, [])),
         (canonical_key, Hypergraph(n, [])),
@@ -620,6 +628,10 @@ def test_search_trees_deeper_than_the_recursion_limit_are_refused(monkeypatch):
     ):
         with pytest.raises(ResourceGuardError, match=f"n = {n} points"):
             query(structure)
+        # a refused query leaves no engine held for reuse, and no path states
+        assert autom_mod._memo.key is None and autom_mod._memo.engine is None
+        assert (built[-1]._path, built[-1]._levels) == ([], [])
+    assert len(built) == 3
     assert not is_asymmetric(Hypergraph(n, []))  # the twin swap needs no walk
     # the involution search below the walk is guarded too
     engine = structure_engine(4, [(0, 1), (1, 2), (2, 3), (0, 3)], False)
@@ -686,6 +698,83 @@ def test_incidence_lists_are_built_once_per_structure(monkeypatch):
             per_structure.append(len(calls) - before)
         assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
     assert len(classes) == 156
+
+
+def _fresh(query, *args):
+    """`query(*args)` answered by an engine built for it."""
+    autom_mod._memo.key = autom_mod._memo.engine = None
+    return query(*args)
+
+
+def test_whole_structure_queries_share_one_engine(monkeypatch):
+    """automorphisms, canonical_key and canonical_form of one structure
+    build one engine between them, and the canonical walk runs once.
+    The engine is held per thread for the next query of an equal
+    structure with the same ordering and stabilized set, and only
+    for that."""
+    init, walk, built, walks = _Engine.__init__, _Engine._walk, [], []
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_walk(self, *args):
+        walks.append(1)
+        return walk(self, *args)
+
+    h = hypercube(4)
+    moved = relabel(h, tuple((v + 1) % h.n for v in range(h.n)))
+    r = RelationalStructure(h.n, 2, h.edges)
+    assert moved.edges != h.edges and r.tuples == h.edges
+    full = (automorphisms, canonical_key, canonical_form)
+    want = {q: _fresh(q, h) for q in full}
+    want_rel = (_fresh(automorphisms_rel, r), _fresh(canonical_key_rel, r))
+    want_pinned = _fresh(automorphisms_stabilizing, h, [0, 1])
+    autom_mod._memo.key = autom_mod._memo.engine = None
+    monkeypatch.setattr(_Engine, "__init__", counted_init)
+    monkeypatch.setattr(_Engine, "_walk", counted_walk)
+
+    assert automorphisms(h) == want[automorphisms]
+    assert canonical_key(h) == want[canonical_key]
+    walks.clear()
+    assert canonical_form(h) == want[canonical_form]
+    assert (len(built), walks) == (1, [])  # one engine, and the third query walked nowhere
+    assert canonical_key(Hypergraph(h.n, list(h.edges))) == want[canonical_key]
+    assert (len(built), walks) == (1, [])  # a new but equal hypergraph
+    assert canonical_key(moved) == want[canonical_key]
+    assert len(built) == 2  # a relabelled copy is another structure
+    assert (automorphisms_rel(r), canonical_key_rel(r)) == want_rel
+    assert len(built) == 3  # the same tuples, ordered
+    assert automorphisms(h) == want[automorphisms]
+    assert automorphisms_stabilizing(h, [1, 0]) == want_pinned
+    assert automorphisms_stabilizing(h, (0, 1)) == want_pinned
+    assert len(built) == 5  # a stabilized set is part of the key
+    monkeypatch.undo()
+
+    # threads querying different structures at once each hold their own engine
+    shapes = [hypercube(4), relabel(frucht_graph(), tuple(range(11, -1, -1))),
+              Hypergraph(12, [(i, (i + 1) % 12) for i in range(12)])]
+    answers = [tuple(_fresh(q, s) for q in full) for s in shapes]
+    start, got = threading.Barrier(len(shapes)), [[] for _ in shapes]
+
+    def ask(s, out):
+        start.wait(timeout=60)
+        for _ in range(20):
+            out.append(tuple(q(s) for q in full))
+            out.append(autom_mod._memo.key == (s.n, s.edges, False, None))
+
+    threads = [threading.Thread(target=ask, args=pair) for pair in zip(shapes, got)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [set(out) for out in got] == [{a, True} for a in answers]
 
 
 def _engine_outputs(h: Hypergraph) -> tuple:

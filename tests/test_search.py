@@ -367,6 +367,34 @@ def test_deletion_labels_only_the_children_that_tie(monkeypatch):
     assert 2 * len(labellings) < len(tests)
 
 
+def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
+    """A class whose acceptance test built an engine is queried as a
+    parent on that engine; only the empty graph and the classes accepted
+    by degrees alone, which built none, get an engine as parents."""
+    accepts, build = search_mod._augmentation_accepts, search_mod.structure_engine
+    held, testing, parents = {}, [], []
+
+    def recorded_accepts(parent, added, deg):
+        testing.append(added)
+        accepted, engine = accepts(parent, added, deg)
+        testing.pop()
+        if accepted:
+            held[frozenset(parent.edges + (added,))] = engine
+        return accepted, engine
+
+    def recorded_build(n, edges, ordered):
+        if not testing:
+            parents.append(frozenset(edges))
+        return build(n, edges, ordered)
+
+    monkeypatch.setattr(search_mod, "_augmentation_accepts", recorded_accepts)
+    monkeypatch.setattr(search_mod, "structure_engine", recorded_build)
+    assert sum(len(reps) for _, reps in classes_by_edge_count(7, 2)) == 1044
+    bare = {edges for edges, engine in held.items() if engine is None and len(edges) < 21}
+    assert sorted(parents, key=sorted) == sorted(bare | {frozenset()}, key=sorted)
+    assert (len(held), len(parents)) == (1043, 384)  # 618 parents built when none was kept
+
+
 def test_augmentation_max_edges_cutoff():
     levels = [m for m, layer in classes_by_edge_count(5, 2, max_edges=3)]
     assert levels == [0, 1, 2, 3]
