@@ -188,7 +188,7 @@ def _cmd_search(args) -> int:
         found = find_minimal_asymmetric(args.k, args.n)
         print(f"# {len(found)} minimal asymmetric {args.k}-graphs on {args.n} vertices", file=sys.stderr)
         _emit(to_hgf_stream(found), args.output)
-        return 0
+        return 0 if found else 1
     raise ValueError(f"unknown search action {action!r}")
 
 

@@ -9,8 +9,9 @@ added edge lies in the orbit of the canonical deletion, picked by
 endpoint degrees, then refined edge colours, then the canonical
 labelling, which runs only on the children that tie twice.
 
-`_scan_labeled` takes its witness from the same orbit minima, so no
-automorphism query is made per mask.
+A labeled class's representative is its least edge mask, edges in
+`combinations` order, not the engine's canonical form: no engine runs on
+the labeled path, and `_scan_labeled` takes its witness from the same minima.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autom import _Engine, canonical_form, structure_engine
+from .autom import _Engine, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph, degrees
 from .perms import Perm, transposition
@@ -38,7 +39,7 @@ _CHECKPOINT_FIELDS = ("k", "n", "half", "last_mask", "scanned")
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Census of one (k, n) cell of the enumeration."""
+    """Census of one (k, n) cell; a witness is its class's least edge mask."""
 
     k: int
     n: int
@@ -222,27 +223,22 @@ def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
     return least, [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
 
 
-def _canonical_classes(k: int, n: int, masks: Sequence[int]) -> list[Hypergraph]:
-    """Canonical forms of the classes of these masks, ordered by edge
-    count then edge list."""
+def _mask_classes(k: int, n: int, masks: Sequence[int]) -> list[Hypergraph]:
+    """The graphs of these masks, ordered by edge count then edge list."""
     edges = _edge_space(n, k)
-    forms = [canonical_form(_mask_graph(n, k, edges, mask)) for mask in masks]
-    return sorted(forms, key=lambda h: (h.m, h.edges))
+    return sorted((_mask_graph(n, k, edges, mask) for mask in masks), key=lambda h: (h.m, h.edges))
 
 
 def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
-    """One canonical representative per isomorphism class of k-graphs
-    on n vertices, ordered by edge count then edge list.
-
-    Labeled-scan strategy: every edge-set bitmask is mapped to the
-    least mask of its orbit under the vertex permutations (`_orbits`);
-    orbit minima are the class representatives.
-    """
-    return _canonical_classes(k, n, [mask for mask, _ in _orbits(k, n)[1]])
+    """One representative per isomorphism class of k-graphs on n
+    vertices, ordered by edge count then edge list: the least mask of
+    each orbit under the vertex permutations (`_orbits`), edges in
+    `combinations` order, not the engine's canonical form."""
+    return _mask_classes(k, n, [mask for mask, _ in _orbits(k, n)[1]])
 
 
-def scan_classes(k: int, n: int, keep_witnesses: bool = True) -> SearchOutcome:
-    """Class census at (k, n); only the witnesses kept are canonicalised."""
+def scan_classes(k: int, n: int) -> SearchOutcome:
+    """Class census at (k, n); a witness is its class's least edge mask."""
     census = _orbits(k, n)[1]
     asym = [mask for mask, asymmetric in census if asymmetric]
     return SearchOutcome(
@@ -251,7 +247,7 @@ def scan_classes(k: int, n: int, keep_witnesses: bool = True) -> SearchOutcome:
         total_labeled=1 << math.comb(n, k),
         iso_classes=len(census),
         asymmetric_classes=len(asym),
-        witnesses=tuple(_canonical_classes(k, n, asym)) if keep_witnesses else (),
+        witnesses=tuple(_mask_classes(k, n, asym)),
     )
 
 
@@ -360,12 +356,9 @@ def classes_by_edge_count(
 
 
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
-    """All class representatives on n vertices that are asymmetric with
-    every non-trivial induced subgraph symmetric."""
-    edges = _edge_space(n, k)
-    asym = [mask for mask, asymmetric in _orbits(k, n)[1] if asymmetric]
-    minimal = [mask for mask in asym if verify_minimal_asymmetric(_mask_graph(n, k, edges, mask)).holds]
-    return _canonical_classes(k, n, minimal)
+    """The witnesses of `scan_classes` with every non-trivial induced
+    subgraph symmetric."""
+    return [h for h in scan_classes(k, n).witnesses if verify_minimal_asymmetric(h).holds]
 
 
 def write_checkpoint(path: str, k: int, n: int, half: bool, last_mask: int, scanned: int) -> None:

@@ -247,7 +247,7 @@ def test_criterion_13_two_enumeration_strategies_agree():
         "at (2,5), (2,6), (3,5), (3,6)"
     ):
         for k, n in [(2, 5), (2, 6), (3, 5), (3, 6)]:
-            census = scan_classes(k, n, keep_witnesses=False)
+            census = scan_classes(k, n)
             by_count = sum(
                 len(reps) for _, reps in classes_by_edge_count(n, k)
             )

@@ -309,6 +309,12 @@ def test_search_min_asym_stream(capsys):
     assert "8 minimal asymmetric" in err
 
 
+def test_search_min_asym_none_exits_one(capsys):
+    code, out, err = run(capsys, "search", "min-asym", "--k", "2", "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "# 0 minimal asymmetric 2-graphs on 5 vertices\n"
+
+
 def test_search_checkpoint_resume(capsys, tmp_path):
     ck = tmp_path / "scan.ck"
     code, out, _ = run(

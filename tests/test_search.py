@@ -12,7 +12,6 @@ import pytest
 from minasym import (
     Hypergraph,
     ResourceGuardError,
-    canonical_form,
     canonical_key,
     classes_by_edge_count,
     degrees,
@@ -166,18 +165,49 @@ def test_scan_classes_outcome():
     assert all(is_asymmetric(w) for w in out7.witnesses)
 
 
-def test_census_canonicalises_only_returned_classes(monkeypatch):
-    calls = []
+def test_labeled_census_builds_no_engine(monkeypatch):
+    built = []
+    init = autom_mod._Engine.__init__
 
-    def counted(h):
-        calls.append(h)
-        return canonical_form(h)
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(search_mod, "canonical_form", counted)
-    bare = scan_classes(2, 6, keep_witnesses=False)
-    assert (bare.iso_classes, bare.asymmetric_classes, bare.witnesses) == (156, 8, ())
-    assert calls == []
-    assert len(scan_classes(2, 6).witnesses) == len(calls) == 8
+    monkeypatch.setattr(autom_mod._Engine, "__init__", counted)
+    six = scan_classes(2, 6)
+    assert (six.iso_classes, six.asymmetric_classes, len(six.witnesses)) == (156, 8, 8)
+    assert len(scan_classes(3, 6).witnesses) == 1010
+    assert len(enumerate_k_graphs(2, 6)) == 156
+    assert built == []
+
+
+def test_representatives_are_orbit_minima():
+    """Every representative, witness and minimal graph encodes the least
+    mask, by `_edge_space` bit index, of its orbit under all n!
+    relabellings, and no two representatives share an orbit."""
+    for k, n in [(2, 5), (3, 5), (2, 6)]:
+        bit = {e: 1 << i for i, e in enumerate(search_mod._edge_space(n, k))}
+        perms = list(itertools.permutations(range(n)))
+
+        def mask(edges):
+            return sum(bit[e] for e in edges)
+
+        def orbit(h):
+            return {mask(perm_image(h.edges, p)) for p in perms}
+
+        reps = enumerate_k_graphs(k, n)
+        seen = set()
+        for rep in reps:
+            masks = orbit(rep)
+            assert mask(rep.edges) == min(masks), (k, n, rep.edges)
+            assert not masks & seen, (k, n, rep.edges)
+            seen |= masks
+        assert len(seen) == 1 << len(bit)
+        others = list(scan_classes(k, n).witnesses)
+        if (k, n) == (2, 6):
+            others += find_minimal_asymmetric(k, n)
+        for h in others:
+            assert mask(h.edges) == min(orbit(h)), (k, n, h.edges)
 
 
 def test_augmentation_agrees_with_scan_dedup():
@@ -413,8 +443,8 @@ def test_find_minimal_asymmetric_triple_systems_on_six_points():
     # same collapse as for 2-graphs: nothing asymmetric lives on
     # fewer points, so minimal count == asymmetric class count
     assert len(found) == 1010
-    assert len(found) == scan_classes(3, 6, keep_witnesses=False).asymmetric_classes
-    assert canonical_form(gen_figure2()) in found
+    assert len(found) == scan_classes(3, 6).asymmetric_classes
+    assert canonical_key(gen_figure2()) in {canonical_key(h) for h in found}
     by_edges = sorted(h.m for h in found)
     assert by_edges[0] == 4 and by_edges[1] == 5
 
@@ -452,8 +482,8 @@ def test_bit_guard_refuses_oversized_spaces():
 
 
 def test_complement_duality_of_class_counts():
-    a = scan_classes(2, 5, keep_witnesses=False)
-    b = scan_classes(3, 5, keep_witnesses=False)
+    a = scan_classes(2, 5)
+    b = scan_classes(3, 5)
     assert a.iso_classes == b.iso_classes
     assert a.asymmetric_classes == b.asymmetric_classes
 
