@@ -7,7 +7,8 @@ canonical augmentation growing one edge at a time.  Their class counts
 must agree; tests enforce it.  Augmentation keeps a child when its
 added edge lies in the orbit of the canonical deletion, picked by
 endpoint degrees, then refined edge colours, then the canonical
-labelling, which runs only on the children that tie twice.
+labelling, which runs only on the children that tie twice.  It grows
+levels 0..C/2 only; each level m above is level C - m complemented.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
@@ -322,16 +323,27 @@ def classes_by_edge_count(
 
     Independent of the labeled-scan strategy and free of its bitmask
     guard; levels grow one edge at a time, so the caller bounds the
-    work by stopping the iteration.
+    work by stopping the iteration.  Levels 0..C/2, C = C(n, k), are
+    grown; each level m above is the complements, within the k-subsets,
+    of level C - m in its order.  That is exact: complementing commutes
+    with relabelling, so it maps the classes with C - m edges one-to-one
+    onto those with m, keeping each automorphism group.
     """
     all_edges = list(combinations(range(n), k))
-    top = len(all_edges) if max_edges is None else min(max_edges, len(all_edges))
+    c = len(all_edges)
+    top = c if max_edges is None else min(max(max_edges, 0), c)
+    half = min(top, c // 2)
     # Each class with its engine, when its acceptance test built one, whose
     # walk may have run already; any generating set gives the same edge orbits.
     current: list[tuple[Hypergraph, Optional[_Engine]]] = [(Hypergraph(n, (), k=k), None)]
-    yield 0, [current[0][0]]
-    m = 0
-    while m < top:
+    kept: dict[int, list[Hypergraph]] = {}  # levels C - top..C - half - 1, to complement
+    for m in range(half + 1):
+        reps = [h for h, _ in current]
+        if c - top <= m < c - half:
+            kept[m] = reps
+        yield m, reps
+        if m == half:
+            break
         grown: list[tuple[Hypergraph, Optional[_Engine]]] = []
         current.reverse()  # popped in order, each parent's engine freed once read
         while current:
@@ -348,11 +360,12 @@ def classes_by_edge_count(
                     continue
                 visited |= _edge_orbit(cand, gens)
                 accepted, child = _augmentation_accepts(parent, cand, deg)
-                if accepted:
+                if accepted:  # level `half` is never a parent, so it holds no engine
+                    child = child if m + 1 < half else None
                     grown.append((Hypergraph(n, parent.edges + (cand,), k=k), child))
-        m += 1
-        yield m, [child for child, _ in grown]
         current = grown
+    for m in range(half + 1, top + 1):
+        yield m, [Hypergraph(n, set(all_edges) - h.edge_set(), k=k) for h in kept.pop(c - m)]
 
 
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:

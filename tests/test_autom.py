@@ -668,7 +668,7 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
         parent = Hypergraph(6, [(0, 1), (0, 4), (1, 2), (2, 3)])
         assert search_mod._augmentation_accepts(parent, (1, 3), degrees(parent)) == (False, None)
         assert len(built) == 3  # rejected by edge colours, never queried
-        assert sum(len(level) for _, level in classes_by_edge_count(6, 2)) == 156
+        assert sum(len(level) for _, level in classes_by_edge_count(7, 2)) == 1044
         engine = recorded(cycle.n, cycle.edges, False)
         engine.canonical()
         del engine
@@ -806,7 +806,7 @@ def test_engine_outputs_are_pinned():
     got["hcirc(4,2)"] = canonical_key_rel(gen_hcirc(4, 2))
     digests = {name: hashlib.sha256(repr(out).encode()).hexdigest() for name, out in got.items()}
     assert digests == {
-        "(2,6) classes": "ae7cfc8344436d9ff1518ae33b4fdf3e488004d0c0211d427c41799a9b23e470",
+        "(2,6) classes": "0de469137f5effa56157ac80d5f313d36cdcc01ec6fc70298ca6253f3e2d53fc",
         "K_9^(3)": "cbd1ac57b97f3f89a60421c56fe560ad31bcaabc0563ce7248fd18df29fc72e5",
         "Q_5": "806ebee302c0ff8442273f60633ee37bfa108ad897cadc7702fed5ae5c3ffa12",
         "Petersen": "3ea4aaaa939e058bb660f9fea43c727c438be65b2d6db3f4b007110502e23f02",

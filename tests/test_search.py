@@ -5,6 +5,7 @@ import math
 import os
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -393,14 +394,16 @@ def test_deletion_labels_only_the_children_that_tie(monkeypatch):
     monkeypatch.setattr(search_mod, "_augmentation_accepts", counted_accepts)
     monkeypatch.setattr(autom_mod._Engine, "canonical", counted_canonical)
     assert sum(len(reps) for _, reps in classes_by_edge_count(6, 2)) == 156
-    assert len(tests) == 572
+    assert len(tests) == 232  # levels 0..7 only: levels 8..15 are complements
     assert 2 * len(labellings) < len(tests)
 
 
 def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
     """A class whose acceptance test built an engine is queried as a
     parent on that engine; only the empty graph and the classes accepted
-    by degrees alone, which built none, get an engine as parents."""
+    by degrees alone, which built none, get an engine as parents.  Level
+    10 = C(7,2) // 2 and the complemented levels 11..21 are never
+    parents."""
     accepts, build = search_mod._augmentation_accepts, search_mod.structure_engine
     held, testing, parents = {}, [], []
 
@@ -420,14 +423,83 @@ def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
     monkeypatch.setattr(search_mod, "_augmentation_accepts", recorded_accepts)
     monkeypatch.setattr(search_mod, "structure_engine", recorded_build)
     assert sum(len(reps) for _, reps in classes_by_edge_count(7, 2)) == 1044
-    bare = {edges for edges, engine in held.items() if engine is None and len(edges) < 21}
+    bare = {edges for edges, engine in held.items() if engine is None and len(edges) < 10}
     assert sorted(parents, key=sorted) == sorted(bare | {frozenset()}, key=sorted)
-    assert (len(held), len(parents)) == (1043, 384)  # 618 parents built when none was kept
+    assert (len(held), len(parents)) == (521, 134)  # (1043, 384) when every level was grown
+
+
+def _complement(h):
+    return Hypergraph(h.n, set(itertools.combinations(range(h.n), h.k)) - h.edge_set(), k=h.k)
+
+
+def _level_keys(levels):
+    return [{canonical_key(h) for h in reps} for _, reps in levels]
 
 
 def test_augmentation_max_edges_cutoff():
     levels = [m for m, layer in classes_by_edge_count(5, 2, max_edges=3)]
     assert levels == [0, 1, 2, 3]
+    # C(6,2) = 15: a cut above the half, levels 8..10 the complements of levels 7..5
+    cut = list(classes_by_edge_count(6, 2, max_edges=10))
+    assert [m for m, _ in cut] == list(range(11))
+    assert _level_keys(cut) == _level_keys(list(classes_by_edge_count(6, 2))[:11])
+
+
+def test_augmentation_complements_the_levels_above_half():
+    """Each level m > C/2 is the complemented level C - m: complementing
+    within the k-subsets keeps the automorphism group."""
+    for n, k in ((6, 2), (7, 2), (6, 3)):
+        levels = list(classes_by_edge_count(n, k))
+        c = math.comb(n, k)
+        assert [m for m, _ in levels] == list(range(c + 1)), (n, k)
+        for m, reps in levels[c // 2 + 1:]:
+            complemented = {canonical_key(_complement(h)) for h in levels[c - m][1]}
+            assert {canonical_key(h) for h in reps} == complemented, (n, k, m)
+            assert {h.m for h in reps} == {m}, (n, k, m)
+
+
+def test_augmentation_grows_only_to_the_middle_level(monkeypatch):
+    """Levels up to C/2 are generated, the middle one of an even C too:
+    level C // 2 equals the run that stops there, and no acceptance test
+    sees a child above it."""
+    accepts, sizes = search_mod._augmentation_accepts, []
+
+    def recorded(parent, added, deg):
+        sizes.append(parent.m + 1)
+        return accepts(parent, added, deg)
+
+    monkeypatch.setattr(search_mod, "_augmentation_accepts", recorded)
+    for n, c in ((4, 6), (5, 10), (6, 15)):
+        sizes.clear()
+        levels = list(classes_by_edge_count(n, 2))
+        assert max(sizes) == c // 2, n
+        assert levels[c // 2] == list(classes_by_edge_count(n, 2, max_edges=c // 2))[-1], n
+
+
+def test_augmentation_holds_no_engine_for_the_middle_level(monkeypatch):
+    """The classes of level C/2 are never parents: once that level is
+    yielded, no engine built for one of them is alive."""
+    build, built = search_mod.structure_engine, []
+
+    def recorded(n, edges, ordered):
+        engine = build(n, edges, ordered)
+        built.append((len(edges), weakref.ref(engine)))
+        return engine
+
+    monkeypatch.setattr(search_mod, "structure_engine", recorded)
+    levels = classes_by_edge_count(7, 2)
+    assert [m for m, _ in itertools.islice(levels, 11)][-1] == 10
+    middle = [ref for size, ref in built if size == 10]
+    assert middle and [ref for ref in middle if ref() is not None] == []
+    assert sum(len(reps) for _, reps in levels) == 1044 - 522
+
+
+def test_augmentation_of_one_edge_and_of_no_edge():
+    # k = n: the one k-subset, level 1 the complement of level 0; n < k: level 0 only
+    for n in (1, 3):
+        assert list(classes_by_edge_count(n, n)) == [
+            (0, [Hypergraph(n, (), k=n)]), (1, [Hypergraph(n, [range(n)], k=n)])]
+    assert list(classes_by_edge_count(2, 3)) == [(0, [Hypergraph(2, (), k=3)])]
 
 
 def test_find_minimal_asymmetric_graphs_on_six_points():
@@ -436,6 +508,17 @@ def test_find_minimal_asymmetric_graphs_on_six_points():
     # every proper induced subgraph lives on at most five points
     assert len(found) == 8
     assert all(is_asymmetric(g) for g in found)
+    assert [h.m for h in found] == [6, 7, 7, 7, 8, 8, 8, 9]
+
+
+def test_find_minimal_asymmetric_graphs_on_seven_points():
+    """Six of the minimal asymmetric graphs of Schweitzer & Schweitzer
+    (JCTB 2017) have 7 vertices; the set is closed under complement, as
+    complementing keeps the group and commutes with induced subgraphs."""
+    found = find_minimal_asymmetric(2, 7)
+    assert [h.m for h in found] == [6, 7, 8, 13, 14, 15]
+    keys = {canonical_key(h) for h in found}
+    assert {canonical_key(_complement(h)) for h in found} == keys
 
 
 def test_find_minimal_asymmetric_triple_systems_on_six_points():
