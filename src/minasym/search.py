@@ -9,6 +9,7 @@ added edge lies in the orbit of the canonical deletion, picked by
 endpoint degrees, then refined edge colours, then the canonical
 labelling, which runs only on the children that tie twice.  It grows
 levels 0..C/2 only; each level m above is level C - m complemented.
+Each parent class, and its complement, carries its asymmetry verdict.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autom import _Engine, structure_engine
+from .autom import _Engine, _record_asymmetry, _recorded_asymmetry, structure_engine
 from .errors import ResourceGuardError
 from .hypergraph import Hypergraph, degrees
 from .perms import Perm, transposition
@@ -315,6 +316,12 @@ def _best(kept: Iterable[int], score) -> list[int]:
     return [i for i, s in scores.items() if s == top]
 
 
+def _walked(h: Hypergraph, engine: Optional[_Engine]) -> tuple[Hypergraph, list[Perm]]:
+    """h, its asymmetry recorded, with the generators of a finished walk on `engine` or a new one."""
+    gens = (structure_engine(h.n, h.edges, False) if engine is None else engine).generators()
+    return _record_asymmetry(h, not gens), gens
+
+
 def classes_by_edge_count(
     n: int, k: int, max_edges: Optional[int] = None
 ) -> Iterator[tuple[int, list[Hypergraph]]]:
@@ -327,15 +334,19 @@ def classes_by_edge_count(
     grown; each level m above is the complements, within the k-subsets,
     of level C - m in its order.  That is exact: complementing commutes
     with relabelling, so it maps the classes with C - m edges one-to-one
-    onto those with m, keeping each automorphism group.
+    onto those with m, keeping each automorphism group.  The classes of
+    grown levels below the last, the parents, and their complements are
+    yielded with `is_asymmetric`'s verdict recorded: a parent's walk runs
+    to its end, and its generators are empty exactly when the group is trivial.
     """
     all_edges = list(combinations(range(n), k))
     c = len(all_edges)
     top = c if max_edges is None else min(max(max_edges, 0), c)
     half = min(top, c // 2)
-    # Each class with its engine, when its acceptance test built one, whose
-    # walk may have run already; any generating set gives the same edge orbits.
-    current: list[tuple[Hypergraph, Optional[_Engine]]] = [(Hypergraph(n, (), k=k), None)]
+    # Each class with its generators if a parent, walked once accepted on the engine its
+    # acceptance test built, if any; any generating set gives the same edge orbits.
+    empty = Hypergraph(n, (), k=k)
+    current = [_walked(empty, None) if half else (empty, [])]
     kept: dict[int, list[Hypergraph]] = {}  # levels C - top..C - half - 1, to complement
     for m in range(half + 1):
         reps = [h for h, _ in current]
@@ -344,13 +355,8 @@ def classes_by_edge_count(
         yield m, reps
         if m == half:
             break
-        grown: list[tuple[Hypergraph, Optional[_Engine]]] = []
-        current.reverse()  # popped in order, each parent's engine freed once read
-        while current:
-            parent, engine = current.pop()
-            if engine is None:
-                engine = structure_engine(n, parent.edges, False)
-            gens = engine.generators()
+        grown: list[tuple[Hypergraph, list[Perm]]] = []
+        for parent, gens in current:
             deg = degrees(parent)
             present = parent.edge_set()
             candidates = [e for e in all_edges if e not in present]
@@ -359,13 +365,14 @@ def classes_by_edge_count(
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
-                accepted, child = _augmentation_accepts(parent, cand, deg)
-                if accepted:  # level `half` is never a parent, so it holds no engine
-                    child = child if m + 1 < half else None
-                    grown.append((Hypergraph(n, parent.edges + (cand,), k=k), child))
+                accepted, engine = _augmentation_accepts(parent, cand, deg)
+                if accepted:  # level `half` is never a parent, so it is not walked
+                    child = Hypergraph(n, parent.edges + (cand,), k=k)
+                    grown.append(_walked(child, engine) if m + 1 < half else (child, []))
         current = grown
-    for m in range(half + 1, top + 1):
-        yield m, [Hypergraph(n, set(all_edges) - h.edge_set(), k=k) for h in kept.pop(c - m)]
+    for m in range(half + 1, top + 1):  # a complement keeps its class's group, so its verdict
+        yield m, [_record_asymmetry(Hypergraph(n, set(all_edges) - h.edge_set(), k=k),
+                                    _recorded_asymmetry(h)) for h in kept.pop(c - m)]
 
 
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:

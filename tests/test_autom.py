@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -37,6 +38,7 @@ from minasym import (
     is_involution,
     relabel,
     set_complement,
+    to_hgf,
 )
 import minasym.autom as autom_mod
 import minasym.search as search_mod
@@ -680,8 +682,12 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
 
 def test_incidence_lists_are_built_once_per_structure(monkeypatch):
     # the twin check hands its lists on to the engine, and automorphisms
-    # reads the engine's for its twin witness
-    classes = [h for _, layer in classes_by_edge_count(6, 2) for h in layer]
+    # reads the engine's for its twin witness; is_asymmetric builds none
+    # for the classes that carry the verdict augmentation recorded, all
+    # but those of level 7 = 15 // 2 and its complement, level 8
+    levels = list(classes_by_edge_count(6, 2))
+    classes = [h for _, layer in levels for h in layer]
+    walked = [m not in (7, 8) for m, layer in levels for _ in layer]
     calls = []
     incidence = autom_mod._incidence
 
@@ -696,8 +702,44 @@ def test_incidence_lists_are_built_once_per_structure(monkeypatch):
             before = len(calls)
             query(h)
             per_structure.append(len(calls) - before)
-        assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
+        if query is is_asymmetric:
+            assert Counter(zip(walked, per_structure)) == {(True, 0): 108, (False, 1): 48}
+        else:
+            assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
     assert len(classes) == 156
+
+
+def test_is_asymmetric_reads_a_recorded_verdict_without_an_engine(monkeypatch):
+    """On the 748 classes of (2,7) that carry a verdict, 92 of them
+    asymmetric, is_asymmetric builds no engine; on the 296 of levels 10
+    and 11 it searches as before."""
+    levels = list(classes_by_edge_count(7, 2))
+    build, built = autom_mod.structure_engine, []
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(autom_mod, "structure_engine", counted)
+    carried = [h for _, reps in levels for h in reps if autom_mod._recorded_asymmetry(h) is not None]
+    assert (len(carried), sum(map(is_asymmetric, carried))) == (748, 92)
+    assert built == []
+    rest = [h for m, reps in levels if m in (10, 11) for h in reps]
+    assert len(rest) == 296 and sum(map(is_asymmetric, rest)) == 60
+    assert built
+
+
+def test_a_recorded_verdict_is_outside_the_hypergraph_fields():
+    """A verdict rides along with its object: equal hypergraphs with and
+    without one compare and hash equal, print alike and pickle."""
+    h = next(h for h in dict(classes_by_edge_count(6, 2))[6] if is_asymmetric(h))
+    bare = Hypergraph(h.n, h.edges, k=h.k)
+    assert autom_mod._recorded_asymmetry(h) is True and autom_mod._recorded_asymmetry(bare) is None
+    assert h == bare and hash(h) == hash(bare) and len({h, bare}) == 1
+    assert repr(h) == repr(bare) and to_hgf(h) == to_hgf(bare)
+    for g in (h, bare):
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and autom_mod._recorded_asymmetry(copy) is autom_mod._recorded_asymmetry(g)
 
 
 def _fresh(query, *args):

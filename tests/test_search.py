@@ -324,6 +324,39 @@ def test_augmentation_pins_the_graphs_on_seven_vertices():
     assert sum(is_asymmetric(r) for reps in levels for r in reps) == 152
 
 
+def test_augmentation_pins_the_graphs_on_eight_vertices():
+    # OEIS A000088 and A003400 at n = 8; complementing maps level m onto 28 - m
+    levels = [reps for _, reps in classes_by_edge_count(8, 2)]
+    sizes = list(map(len, levels))
+    assert len(sizes) == 29 and sizes == sizes[::-1]
+    assert sum(sizes) == 12346
+    assert sum(is_asymmetric(r) for reps in levels for r in reps) == 3696
+
+
+def test_augmentation_records_exact_asymmetry_verdicts():
+    """When a level is yielded, each class that was walked as a parent
+    and each complement of one carries the asymmetry verdict, which a
+    fresh engine and the orbit-size oracle confirm (an orbit of n! masks
+    is an asymmetric class); the last grown level and its complement,
+    never parents, carry none, with or without an edge cut."""
+    for n, k, cut in ((5, 2, None), (6, 2, None), (7, 2, None), (6, 3, None),
+                      (6, 2, 5), (6, 2, 7), (6, 2, 12)):
+        least, census = sweep_orbits(k, n)
+        orbit_asymmetric = dict(census)
+        index = {e: i for i, e in enumerate(itertools.combinations(range(n), k))}
+        c = len(index)
+        last = min(c if cut is None else cut, c // 2)
+        for m, reps in classes_by_edge_count(n, k, cut):
+            for h in reps:
+                verdict = autom_mod._recorded_asymmetry(h)
+                if min(m, c - m) == last:
+                    assert verdict is None, (n, k, cut, m)
+                    continue
+                mask = sum(1 << index[e] for e in h.edges)
+                assert verdict is (autom_mod._nonidentity(n, h.edges, False) is None), (n, k, m, h)
+                assert verdict is orbit_asymmetric[int(least[mask])], (n, k, m, h)
+
+
 def _accepted(h):
     """The edges of h that the canonical-deletion test accepts as the
     edge added last."""
