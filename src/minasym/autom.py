@@ -15,8 +15,9 @@ One walk down the identity path of the search tree finds the first
 non-identity automorphism, a generating set, and the group order as the
 product of the path's orbit sizes; run with leaf keeping on, it is also
 the canonical labeling.  A query walks from the root until its answer
-is known, and no query walks again once a walk has run to its end.  The
-walk keeps its identity path, and a search that extends the path reads
+is known, and once a walk has run to its end only the canonical walk
+walks again, starting from that walk's generators.  The walk keeps its
+identity path, and a search that extends or retraces the path reads
 those states instead of refining them again.  By Cauchy's theorem an
 involution exists exactly when some orbit size on the path is even, and
 below the deepest even level every involution moves that level's path
@@ -35,6 +36,7 @@ cross-checking.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -280,19 +282,25 @@ class _Engine:
         self._run(lambda: False)
         return math.prod(level[0] for level in self._levels)
 
-    def _run(self, stop: Callable[[], object]) -> None:
-        """Walk afresh from the base until `stop()` holds, unless it holds
-        already or a walk has run to its end."""
+    def _run(self, stop: Callable[[], object], seed: Optional[list[Perm]] = None) -> None:
+        """Walk from the base until `stop()` holds, unless it holds already
+        or a walk has run to its end.  A walk seeded with a finished walk's
+        generators starts from them and retraces that walk's kept path."""
         if not (self._done or stop()):
-            self._gens, self._levels, self._path = [], [], []
+            self._gens, self._levels = list(seed or ()), []
+            self._path = [self.base] if seed is None else self._path
             self._done = not self._recurse(self._walk, self.base, (), stop)
 
     def _recurse(self, search: Callable, *args):
         """`search(*args)`, one of the recursive searches, whose depth
-        grows with n: a tree deeper than the recursion limit is refused.
+        grows with n: a tree deeper than the recursion limit is refused,
+        before any search when s vertices of one incidence list and base
+        colour, which refinement never splits, put s - 1 levels on the path.
         A search that fails leaves no walk behind: the engine drops its
         walk's state and leaves this thread's memo."""
         try:
+            if self.n - len(set(zip(self.inc, self.base[0]))) >= sys.getrecursionlimit():
+                raise RecursionError
             return search(*args)
         except BaseException as exc:
             self._gens, self._levels, self._path = [], [], []
@@ -318,31 +326,36 @@ class _Engine:
         vertex in the orbit of one that reached none is skipped.  The
         level goes to `_levels` as (orbit size, state, t, cell, prefix),
         and each path state to `_path` at its depth; the product of the
-        sizes is the group order by orbit-stabilizer.
+        sizes is the group order by orbit-stabilizer.  A seeded walk reads
+        its path from `_path`, and the seed's generators fixing a prefix,
+        a strong generating set for this base, generate its stabilizer.
         """
-        self._path.append(state)
         color = self._select_cell(state)
         if color is None:
             self._offer(state)
             return False
         cell = self._cell_members(state, color)
         t = cell[0]
-        on_path = self._individualize(state, t)
+        if len(self._path) == len(prefix) + 1:  # a seeded walk reads its kept path
+            self._path.append(self._individualize(state, t))
+        on_path = self._path[len(prefix) + 1]
         if self._walk(on_path, prefix + (t,), stop):
             return True
-        orbit = _orbit_of(t, self._gens)
+        fixing = [g for g in self._gens if all(g[p] == p for p in prefix)]
+        orbit = _orbit_of(t, fixing)
         covered = set(orbit)
         for v in cell[1:]:
             if v in covered:
                 continue
             rep = self._find_ext(on_path, self._individualize(state, v), prefix + (v,))
             if rep is None:
-                covered |= _orbit_of(v, self._gens)
+                covered |= _orbit_of(v, fixing)
                 continue
             self._gens.append(rep)
+            fixing.append(rep)
             if stop():
                 return True
-            orbit = _orbit_of(t, self._gens)
+            orbit = _orbit_of(t, fixing)
             covered |= orbit
         self._levels.append((len(orbit), state, t, cell, prefix))
         return False
@@ -373,13 +386,15 @@ class _Engine:
 
     def canonical(self) -> tuple[tuple, Perm]:
         """Least relabeled edge encoding over the search tree, with the
-        relabeling that realizes it: a fresh walk to the end with leaf
-        keeping on, whose generators later queries read.  Each subtree it
-        skips is an automorphic image of a searched one, whose leaves
-        encode alike."""
+        relabeling that realizes it: a walk to the end with leaf keeping
+        on, whose generators later queries read, seeded with a finished
+        walk's generators and path states so that it prunes by the whole
+        group at once.  Each subtree it skips is an automorphic image of
+        a searched one, whose leaves encode alike."""
         if self._least is None:
+            seed = self._gens if self._done else None
             self._keep, self._done = True, False
-            self._run(lambda: False)
+            self._run(lambda: False, seed)
             self._keep = False
         return self._least
 

@@ -29,6 +29,7 @@ from minasym import (
     compose,
     degrees,
     find_nonidentity_automorphism,
+    gen_gk,
     gen_gks,
     gen_hcirc,
     group_order,
@@ -855,3 +856,124 @@ def test_engine_outputs_are_pinned():
         "gks(6,1)": "a702a35fade03b78ce4ff244e0aeb9cb8023c1a0db2ce644a2464e307c5c20b7",
         "hcirc(4,2)": "dd1220c7694beaf3528a0e187608b2515a2b413cf5a82d852c9dbcab6667ea8c",
     }
+
+
+def test_trees_deeper_than_the_limit_are_refused_before_walking(monkeypatch):
+    """Refinement never splits vertices with one incidence list and one
+    base colour, so a class of s such vertices puts s - 1 levels on the
+    identity path.  When those levels alone reach the recursion limit the
+    search is refused before any walk; a structure below that bound, or
+    one whose vertices refinement can tell apart, still gets its group."""
+    walk, walks = _Engine._walk, []
+
+    def counted(self, *args):
+        walks.append(args[1])
+        return walk(self, *args)
+
+    monkeypatch.setattr(_Engine, "_walk", counted)
+    monkeypatch.setattr(autom_mod.sys, "getrecursionlimit", lambda: 40)
+    for query in (automorphisms, canonical_key):
+        with pytest.raises(ResourceGuardError, match="n = 41 points"):
+            query(Hypergraph(41, []))
+        assert walks == [] and autom_mod._memo.engine is None
+    assert automorphisms(Hypergraph(40, [])).group_order == math.factorial(40)
+    assert automorphisms(Hypergraph(41, [(i, i + 1) for i in range(40)])).group_order == 2
+    assert walks
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="n = 4000 points"):
+        automorphisms(Hypergraph(4000, []))
+    assert time.perf_counter() - start < 1
+
+
+def _cycles(n: int, copies: int = 1) -> Hypergraph:
+    return Hypergraph(n * copies, [(c * n + i, c * n + (i + 1) % n)
+                                   for c in range(copies) for i in range(n)])
+
+
+def _seeded_canonical(n, edges, ordered=False):
+    """canonical() on an engine whose walk generators() ran to its end,
+    checked against a fresh engine's; the generators and the orbit sizes
+    the seeded walk records do not change."""
+    engine = structure_engine(n, edges, ordered)
+    gens, order = engine.generators(), engine.order()
+    least = engine.canonical()[0]
+    assert least == structure_engine(n, edges, ordered).canonical()[0]
+    assert (engine.generators(), engine.order()) == (gens, order)
+    return engine
+
+
+def test_a_canonical_walk_after_a_finished_walk_refines_nothing(monkeypatch):
+    """The seeded canonical walk reads the finished walk's path states,
+    and on these inputs every sibling on the path lies in an orbit of the
+    generators fixing its prefix, so it refines no state at all."""
+    refine, calls = _Engine._refine, []
+
+    def counted(self, state, queue):
+        calls.append(1)
+        return refine(self, state, queue)
+
+    petersen = Hypergraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])
+    for name, h in (("C_12", _cycles(12)), ("Q_4", hypercube(4)),
+                    ("K_8", Hypergraph(8, itertools.combinations(range(8), 2))),
+                    ("Petersen", petersen),
+                    ("K(3,3)", Hypergraph(6, [(i, 3 + j) for i in range(3) for j in range(3)])),
+                    ("4xK_4", Hypergraph(16, [tuple(range(4 * i, 4 * i + 4)) for i in range(4)]))):
+        engine = structure_engine(h.n, h.edges, False)
+        engine.generators()
+        monkeypatch.setattr(_Engine, "_refine", counted)
+        calls.clear()
+        least = engine.canonical()[0]
+        assert calls == [], name
+        monkeypatch.undo()
+        assert least == structure_engine(h.n, h.edges, False).canonical()[0], name
+
+
+def test_a_seeded_walk_searches_the_other_orbits_of_a_cell():
+    """In C_6 + 2C_3 refinement leaves all 12 vertices in one cell, which
+    holds two orbits: the seeded walk must still search the second."""
+    h = disjoint_union(_cycles(6), _cycles(3), _cycles(3))
+    rng = random.Random(31)
+    for _ in range(5):
+        p = list(range(h.n))
+        rng.shuffle(p)
+        g = relabel(h, tuple(p))
+        engine = _seeded_canonical(g.n, g.edges)
+        size, _, _, cell, _ = engine._levels[-1]  # the root level
+        assert (size, len(cell)) == (6, 12)
+
+
+def test_seeded_canonical_walks_match_fresh_ones():
+    """generators() then canonical() gives a fresh engine's least
+    encoding on every class of (2,6) and (3,5), and on the symmetric
+    benchmark structures with at most 20 vertices, relabelled."""
+    classes = [h for n, k in ((6, 2), (5, 3)) for _, level in classes_by_edge_count(n, k)
+               for h in level]
+    assert len(classes) == 156 + 34
+    for h in classes:
+        _seeded_canonical(h.n, h.edges)
+    shapes = [Hypergraph(n, []) for n in (8, 11, 14)]
+    shapes += [Hypergraph(n, itertools.combinations(range(n), 2)) for n in (8, 11, 14)]
+    shapes += [_cycles(12), _cycles(6, 2),
+               Hypergraph(12, [(i, 6 + j) for i in range(6) for j in range(6)]),
+               Hypergraph(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+               Hypergraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                              (0, 3), (1, 4), (2, 5)]),
+               Hypergraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, 5 + i) for i in range(5)])]
+    shapes += [Hypergraph(k * c, [tuple(range(k * i, k * i + k)) for i in range(c)])
+               for k, c in ((2, 7), (3, 5), (4, 4))]
+    shapes += [Hypergraph(9, itertools.combinations(range(9), 3)), gen_gk(6), gen_gk(10)]
+    rel = gen_hcirc(4, 2)
+    rng = random.Random(7)
+    for s in shapes + [rel]:
+        for _ in range(3):
+            p = list(range(s.n))
+            rng.shuffle(p)
+            if s is rel:
+                _seeded_canonical(s.n, [tuple(p[v] for v in t) for t in s.tuples], True)
+            else:
+                _seeded_canonical(s.n, relabel(s, tuple(p)).edges)
