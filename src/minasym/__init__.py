@@ -90,10 +90,8 @@ from .search import (
     enumerate_k_graphs,
     find_minimal_asymmetric,
     min_asymmetric_order,
-    read_checkpoint,
     scan_classes,
     verify_lemma_all_symmetric,
-    write_checkpoint,
 )
 from .verify import (
     verify_asymmetric,

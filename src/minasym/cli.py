@@ -37,7 +37,6 @@ from .report import VERSION, serialize_report
 from .search import (
     find_minimal_asymmetric,
     min_asymmetric_order,
-    resume_point,
     scan_classes,
     verify_lemma_all_symmetric,
 )
@@ -151,19 +150,10 @@ def _cmd_search(args) -> int:
     if action == "all-symmetric":
         if args.k is None or args.n is None:
             raise ValueError("all-symmetric needs --k and --n")
-        start = before = 0
-        if args.checkpoint and Path(args.checkpoint).exists():
-            start, before = resume_point(args.checkpoint, args.k, args.n, args.half)
-        scan = verify_lemma_all_symmetric(
-            args.k,
-            args.n,
-            half=args.half,
-            start_mask=start,
-            checkpoint_path=args.checkpoint,
-        )
+        scan = verify_lemma_all_symmetric(args.k, args.n, half=args.half)
         print("true" if scan.all_symmetric else "false")
         print(
-            f"# scanned {before + scan.scanned} of {scan.total_labeled} labeled "
+            f"# scanned {scan.scanned} of {scan.total_labeled} labeled "
             f"{scan.k}-graphs on {scan.n} vertices"
         )
         if scan.witness is not None:
@@ -284,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--half", action="store_true", help="scan only edge counts up to half the space")
-    p.add_argument("--checkpoint", metavar="FILE", help="resume file updated as the scan advances")
     p.add_argument("--witnesses-out", metavar="FILE", help="asymmetric class representatives (enum)")
     _add_output(p)
     p.set_defaults(func=_cmd_search)

@@ -13,17 +13,15 @@ Each parent class, and its complement, carries its asymmetry verdict.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
-the labeled path, and `_scan_labeled` takes its witness from the same minima.
+the labeled path, and `_scan_labeled` reads its witness, the first
+asymmetric minimum, off the same census.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,7 +34,6 @@ from .verify import verify_minimal_asymmetric
 
 _BIT_LIMIT = 24
 _CHUNK = 1 << 16
-_CHECKPOINT_FIELDS = ("k", "n", "half", "last_mask", "scanned")
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,8 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class LemmaScan:
-    """Result of a full labeled scan for asymmetric instances."""
+    """Result of a labeled scan for asymmetric instances: `scanned` counts
+    the masks from 0 through the witness, or the whole scanned space."""
 
     k: int
     n: int
@@ -102,66 +100,42 @@ def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
     return Hypergraph(n, chosen, k=k)
 
 
-def _scan_labeled(
-    k: int,
-    n: int,
-    half: bool,
-    start_mask: int = 0,
-    checkpoint_path: Optional[str] = None,
-) -> tuple[int, Optional[int], int]:
-    """Scan labeled edge sets ascending for an asymmetric instance.
+def _scan_labeled(k: int, n: int, half: bool) -> tuple[int, Optional[int], int]:
+    """The first asymmetric labeled edge set in ascending mask order.
 
-    Returns (scanned, first asymmetric mask or None, total space size).
-    A mask is asymmetric when its orbit has n! masks, in an orbit census
-    of the whole space that runs first, whatever `start_mask`.
+    Returns (scanned, first asymmetric mask or None, total space size),
+    where `scanned` counts the masks of the scanned space from 0 through
+    that mask, or all of them when there is none.  A mask is asymmetric when its orbit
+    has n! masks.  The first asymmetric mask is an orbit minimum, as its
+    orbit's minimum is asymmetric too, so it is read off the census.
     With `half` set, masks with more than C/2 edges are skipped; the
     edge-set complement within the full k-subset family preserves the
     automorphism group, so the skipped half is covered by the scanned
-    one.
+    one.  Popcount is constant on an orbit, so the skip acts on classes.
     """
     least, census = _orbits(k, n)
-    asym = np.array([mask for mask, asymmetric in census if asymmetric], dtype=np.int32)
-    total = least.size
-    if not 0 <= start_mask <= total:
-        raise ValueError(f"start mask {start_mask} outside 0..{total}")
-    limit = math.comb(n, k) // 2
-    before = _counted_before(start_mask, half, limit)
-    scanned = 0
-    for lo in range(start_mask, total, _CHUNK):
-        block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int32)
-        if half:
-            block = block[np.bitwise_count(block) <= limit]
-        scanned += int(block.size)
-        hits = block[np.isin(least[block], asym)]
-        if hits.size:
-            return scanned, int(hits[0]), total
-        if checkpoint_path is not None:
-            write_checkpoint(
-                checkpoint_path, k, n, half, min(lo + _CHUNK, total) - 1, before + scanned
-            )
-    return scanned, None, total
+    total, limit = least.size, math.comb(n, k) // 2
+    found = (m for m, asym in census if asym and (not half or m.bit_count() <= limit))
+    bad = next(found, None)
+    return _counted_before(total if bad is None else bad + 1, half, limit), bad, total
 
 
-def _counted_before(start_mask: int, half: bool, limit: int) -> int:
-    """Masks a scan from 0 counts before `start_mask`.  With `half`, for
-    the i-th set bit b of start_mask from the top: the masks that share
-    its bits above b, clear b, and set at most limit - i bits below it."""
-    tops = [b for b in reversed(range(start_mask.bit_length())) if start_mask >> b & 1]
+def _counted_before(end: int, half: bool, limit: int) -> int:
+    """Masks below `end` a scan counts: all of them, or with `half`, for
+    the i-th set bit b of end from the top, the masks that share its
+    bits above b, clear b, and set at most limit - i bits below it."""
+    tops = [b for b in reversed(range(end.bit_length())) if end >> b & 1]
     counts = (math.comb(b, j) for i, b in enumerate(tops) for j in range(limit - i + 1))
-    return sum(counts) if half else start_mask
+    return sum(counts) if half else end
 
 
-def verify_lemma_all_symmetric(
-    k: int,
-    n: int,
-    half: bool = False,
-    start_mask: int = 0,
-    checkpoint_path: Optional[str] = None,
-) -> LemmaScan:
+def verify_lemma_all_symmetric(k: int, n: int, half: bool = False) -> LemmaScan:
     """Does every labeled k-graph on n vertices have a non-identity
-    automorphism?  Scans the whole labeled space with early exit per
-    instance; `start_mask` lies in 0..2^C(n,k)."""
-    scanned, bad, total = _scan_labeled(k, n, half, start_mask, checkpoint_path)
+    automorphism?  Answered from the orbit census of the whole labeled
+    space; `scanned` counts the masks from 0 through the first
+    asymmetric one, or all of them (with `half`, those with at most
+    C(n,k)/2 edges)."""
+    scanned, bad, total = _scan_labeled(k, n, half)
     witness = None if bad is None else _mask_graph(n, k, _edge_space(n, k), bad)
     return LemmaScan(k, n, total, scanned, bad is None, witness)
 
@@ -379,50 +353,3 @@ def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:
     """The witnesses of `scan_classes` with every non-trivial induced
     subgraph symmetric."""
     return [h for h in scan_classes(k, n).witnesses if verify_minimal_asymmetric(h).holds]
-
-
-def write_checkpoint(path: str, k: int, n: int, half: bool, last_mask: int, scanned: int) -> None:
-    """Record a scan's mode (k, n, half), its last finished mask and the
-    masks it counted from mask 0, as `key=value` fields.  The contents
-    go to a temporary file in the same directory, which is renamed over
-    `path`, so a failed write leaves the previous checkpoint intact."""
-    line = f"k={k} n={n} half={int(half)} last_mask={last_mask} scanned={scanned}"
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as f:
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def read_checkpoint(path: str) -> tuple[int, int, bool, int, int]:
-    """(k, n, half, last_mask, scanned) as written by `write_checkpoint`."""
-    parts = Path(path).read_text(encoding="ascii").split()
-    fields = dict(p.partition("=")[::2] for p in parts)
-    if len(parts) != len(_CHECKPOINT_FIELDS) or tuple(fields) != _CHECKPOINT_FIELDS:
-        raise ValueError(
-            f"bad checkpoint file {path!r}: it needs the fields {' '.join(_CHECKPOINT_FIELDS)}"
-            " (the three-field checkpoints of older minasym versions cannot be resumed)"
-        )
-    k, n, half, last_mask, scanned = (int(fields[key]) for key in _CHECKPOINT_FIELDS)
-    return k, n, bool(half), last_mask, scanned
-
-
-def resume_point(path: str, k: int, n: int, half: bool) -> tuple[int, int]:
-    """(first mask, masks counted before it) to resume the scan (k, n,
-    half) from the checkpoint at `path`.  Refused: a checkpoint of another
-    scan, or one no such scan writes, its last mask outside the space or
-    its count not the count from mask 0 through that mask."""
-    ck, cn, chalf, last, scanned = read_checkpoint(path)
-    if (ck, cn, chalf) != (k, n, half):
-        mode = f"k={ck} n={cn} half={chalf}, not k={k} n={n} half={half}"
-        raise ValueError(f"checkpoint {path!r} is for {mode}")
-    c = len(_edge_space(n, k))
-    if not 0 <= last < 1 << c or scanned != _counted_before(last + 1, half, c // 2):
-        raise ValueError(f"checkpoint {path!r}: no scan counts {scanned} masks up to mask {last}")
-    return last + 1, scanned

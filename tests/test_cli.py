@@ -1,7 +1,6 @@
 """Command line behavior: formats, exit codes, file outputs."""
 
 import itertools
-import math
 import os
 import random
 import re
@@ -22,7 +21,6 @@ from minasym import (
     parse_hgf_stream,
     parse_rel,
     to_hgf,
-    write_checkpoint,
 )
 from minasym.cli import main
 
@@ -315,73 +313,21 @@ def test_search_min_asym_none_exits_one(capsys):
     assert err == "# 0 minimal asymmetric 2-graphs on 5 vertices\n"
 
 
-def test_search_checkpoint_resume(capsys, tmp_path):
-    ck = tmp_path / "scan.ck"
-    code, out, _ = run(
-        capsys, "search", "all-symmetric", "--k", "3", "--n", "5",
-        "--checkpoint", str(ck),
-    )
-    assert code == 0
-    code, out, _ = run(
-        capsys, "search", "all-symmetric", "--k", "3", "--n", "5",
-        "--checkpoint", str(ck),
-    )
-    assert code == 0
-    assert "scanned 1024 of 1024" in out
-
-
-def test_search_checkpoint_resume_counts_the_whole_scan(capsys, tmp_path):
-    # 16-graphs on 17 points: two blocks of masks, all symmetric
-    ck = tmp_path / "scan.ck"
-    args = ("search", "all-symmetric", "--k", "16", "--n", "17", "--half", "--checkpoint", str(ck))
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    whole = out.splitlines()[1]
-    assert whole == "# scanned 65536 of 131072 labeled 16-graphs on 17 vertices"
-    # as if the first run had stopped after its first block
-    first_block = sum(math.comb(16, j) for j in range(9))
-    write_checkpoint(str(ck), 16, 17, True, (1 << 16) - 1, first_block)
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert out.splitlines()[1] == whole
-
-
-def test_search_checkpoint_half_mismatch(capsys, tmp_path):
-    ck = tmp_path / "scan.ck"
-    write_checkpoint(str(ck), 3, 5, False, 511, 512)
-    code, _, err = run(
-        capsys, "search", "all-symmetric", "--k", "3", "--n", "5", "--half",
-        "--checkpoint", str(ck),
-    )
-    assert code == 2
-    assert "half=False, not k=3 n=5 half=True" in err
-
-
-def test_search_checkpoint_must_be_a_point_of_the_scan(capsys, tmp_path):
-    # (3, 6) has asymmetric 3-graphs, so a scan of it fails; a resume must
-    # not trust a checkpoint whose last mask or count no scan reaches
-    ck = tmp_path / "scan.ck"
-    args = ("search", "all-symmetric", "--k", "3", "--n", "6", "--checkpoint", str(ck))
-    for last, scanned in ((99999999, 5), (1 << 20, 1 << 20), (-1, 0), (65535, 7), (65535, 65537)):
-        ck.write_text(f"k=3 n=6 half=0 last_mask={last} scanned={scanned}\n")
-        code, out, err = run(capsys, *args)
-        assert (code, out) == (2, ""), (last, scanned)
-        assert "no scan counts" in err
-    ck.unlink()
-    code, out, _ = run(capsys, *args)
+def test_search_all_symmetric_counts_through_the_witness(capsys, tmp_path):
+    # (3, 6) has asymmetric 3-graphs; the first is mask 1066
+    path = tmp_path / "witness.hgf"
+    code, out, _ = run(capsys, "search", "all-symmetric", "--k", "3", "--n", "6", "-o", str(path))
     assert code == 1
-    assert out.splitlines()[0] == "false"
+    assert out == "false\n# scanned 1067 of 1048576 labeled 3-graphs on 6 vertices\n"
+    edges = list(itertools.combinations(range(6), 3))
+    assert parse_hgf(path.read_text()).edges == tuple(e for i, e in enumerate(edges) if 1066 >> i & 1)
 
 
-def test_search_checkpoint_mismatch(capsys, tmp_path):
-    ck = tmp_path / "scan.ck"
-    ck.write_text("2 6 100\n")
-    code, _, err = run(
-        capsys, "search", "all-symmetric", "--k", "3", "--n", "5",
-        "--checkpoint", str(ck),
-    )
-    assert code == 2
-    assert "checkpoint" in err
+def test_search_checkpoint_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "all-symmetric", "--k", "3", "--n", "5", "--checkpoint", "scan.ck"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
 
 
 def test_search_guard_exits_three(capsys):

@@ -1,8 +1,7 @@
-"""Labeled-space scans, class enumeration, and checkpointing."""
+"""Labeled-space scans and class enumeration."""
 
 import itertools
 import math
-import os
 import random
 import tracemalloc
 import weakref
@@ -22,11 +21,9 @@ from minasym import (
     is_asymmetric,
     is_automorphism,
     min_asymmetric_order,
-    read_checkpoint,
     scan_classes,
     transposition,
     verify_lemma_all_symmetric,
-    write_checkpoint,
 )
 
 import minasym.autom as autom_mod
@@ -63,7 +60,7 @@ def test_scan_makes_no_automorphism_query_per_mask(monkeypatch):
     monkeypatch.setattr(autom_mod, "_nonidentity", no_engine)
     again = verify_lemma_all_symmetric(2, 6)
     assert (again.scanned, again.witness) == (scan.scanned, scan.witness)
-    assert scan.scanned == 1 << 15 and oracle_nonidentity(scan.witness) is None
+    assert scan.scanned == 695 and oracle_nonidentity(scan.witness) is None
 
 
 def test_half_scan_respects_the_complement_bound():
@@ -74,22 +71,18 @@ def test_half_scan_respects_the_complement_bound():
 
 
 @pytest.mark.parametrize(
-    "k, half, resume",
+    "k, half",
     [
-        # ids: the plain k is the half-space scan from mask 0
-        pytest.param(k, half, resume, id=f"{k}{'' if half else '-full'}{'-resume' if resume else ''}")
+        # ids: the plain k is the half-space scan
+        pytest.param(k, half, id=f"{k}{'' if half else '-full'}")
         for k in (2, 3, 4)
         for half in (True, False)
-        for resume in (False, True)
     ],
 )
-def test_half_scan_witness_is_the_first_asymmetric_mask(k, half, resume):
+def test_half_scan_witness_is_the_first_asymmetric_mask(k, half):
     """The orbit census against the n! oracle: the witness is the first
-    mask of the scanned space, from `start_mask` on, with no
-    non-identity automorphism, and the scan counts every mask of that
-    space in the blocks up to the witness's, counted from `start_mask`.
-    A resumed scan starts one past the first witness, off the block
-    boundaries."""
+    mask of the scanned space with no non-identity automorphism, and the
+    scan counts every mask of that space from 0 through the witness."""
     n = 6
     edges = list(itertools.combinations(range(n), k))
     c, limit = len(edges), len(edges) // 2
@@ -98,17 +91,21 @@ def test_half_scan_witness_is_the_first_asymmetric_mask(k, half, resume):
         return Hypergraph(n, [e for i, e in enumerate(edges) if mask >> i & 1], k=k)
 
     space = [mask for mask in range(1 << c) if not half or bin(mask).count("1") <= limit]
-
-    def first_from(start):
-        return next(mask for mask in space if mask >= start and oracle_nonidentity(graph(mask)) is None)
-
-    start = first_from(0) + 1 if resume else 0
-    first = first_from(start)
-    scan = verify_lemma_all_symmetric(k, n, half=half, start_mask=start)
+    first = next(mask for mask in space if oracle_nonidentity(graph(mask)) is None)
+    scan = verify_lemma_all_symmetric(k, n, half=half)
     assert not scan.all_symmetric
     assert sum(1 << edges.index(e) for e in scan.witness.edges) == first
-    end = start + ((first - start) // _CHUNK + 1) * _CHUNK
-    assert scan.scanned == sum(1 for mask in space if start <= mask < end)
+    assert scan.scanned == sum(1 for mask in space if mask <= first)
+
+
+def test_scan_of_graphs_on_seven_vertices_stops_at_its_witness():
+    # mask 2390, 6 of the 21 edges, is the first asymmetric graph on 7
+    # vertices; the half scan counts every mask through it but 2047 (11 edges)
+    edges = list(itertools.combinations(range(7), 2))
+    for half, scanned in ((False, 2391), (True, 2390)):
+        scan = verify_lemma_all_symmetric(2, 7, half=half)
+        assert sum(1 << edges.index(e) for e in scan.witness.edges) == 2390
+        assert (scan.scanned, scan.total_labeled) == (scanned, 1 << 21)
 
 
 def test_min_order_small_uniformities():
@@ -604,81 +601,12 @@ def test_complement_duality_of_class_counts():
     assert a.asymmetric_classes == b.asymmetric_classes
 
 
-def test_checkpoint_round_trip(tmp_path):
-    path = str(tmp_path / "scan.ck")
-    write_checkpoint(path, 3, 6, True, 12345, 9876)
-    assert read_checkpoint(path) == (3, 6, True, 12345, 9876)
-    assert (tmp_path / "scan.ck").read_text() == "k=3 n=6 half=1 last_mask=12345 scanned=9876\n"
-    for bad in ("1 2\n", "k=3 n=6 half=0 last_mask=5\n", "n=6 k=3 half=0 last_mask=5 scanned=6\n"):
-        (tmp_path / "bad.ck").write_text(bad)
-        with pytest.raises(ValueError, match="bad checkpoint"):
-            read_checkpoint(str(tmp_path / "bad.ck"))
-    (tmp_path / "old.ck").write_text("3 6 12345\n")
-    with pytest.raises(ValueError, match="older minasym"):
-        read_checkpoint(str(tmp_path / "old.ck"))
-
-
-def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "scan.ck"
-    write_checkpoint(str(path), 3, 6, False, 10, 11)
-    write_checkpoint(str(path), 3, 6, False, 20, 21)
-    assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
-
-    def disk_full(fd):
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr(os, "fsync", disk_full)
-    with pytest.raises(OSError):
-        write_checkpoint(str(path), 3, 6, False, 30, 31)
-    assert read_checkpoint(str(path)) == (3, 6, False, 20, 21)
-    assert [f.name for f in tmp_path.iterdir()] == ["scan.ck"]
-
-
-def test_scan_writes_resumable_checkpoints(tmp_path):
-    path = str(tmp_path / "scan.ck")
-    scan = verify_lemma_all_symmetric(3, 5, checkpoint_path=path)
-    assert scan.all_symmetric
-    k, n, half, last, scanned = read_checkpoint(path)
-    assert (k, n, half) == (3, 5, False)
-    assert last == scan.total_labeled - 1
-    assert scanned == scan.scanned
-    resumed = verify_lemma_all_symmetric(3, 5, start_mask=last + 1, checkpoint_path=path)
-    assert resumed.all_symmetric
-    assert resumed.scanned == 0
-
-
-def test_resume_skips_scanned_prefix():
-    full = verify_lemma_all_symmetric(2, 5)
-    partial = verify_lemma_all_symmetric(2, 5, start_mask=512)
-    assert partial.scanned == full.scanned - 512
-    assert partial.all_symmetric
-
-
 def test_scan_start_lies_in_the_space():
-    assert verify_lemma_all_symmetric(3, 5, start_mask=1024).scanned == 0
-    for start in (-3, -1, 1025):
-        with pytest.raises(ValueError, match="start mask"):
-            verify_lemma_all_symmetric(3, 5, start_mask=start)
-    # the scan guard comes first, before any 2^C(n,k) is formed
-    for start in (0, -1):
+    # every scan starts at mask 0; the scan guard comes first, before any
+    # 2^C(n,k) is formed
+    for half in (False, True):
         with pytest.raises(ResourceGuardError):
-            verify_lemma_all_symmetric(20, 40, start_mask=start)
-
-
-def test_resume_point_checks_the_checkpoint_against_the_scan(tmp_path):
-    path = str(tmp_path / "scan.ck")
-    first_block = sum(math.comb(16, j) for j in range(9))
-    write_checkpoint(path, 16, 17, True, (1 << 16) - 1, first_block)
-    assert search_mod.resume_point(path, 16, 17, True) == (1 << 16, first_block)
-    with pytest.raises(ValueError, match="half=True, not k=16 n=17 half=False"):
-        search_mod.resume_point(path, 16, 17, False)
-    for last, scanned in ((-1, 0), (1 << 17, 1 << 16), ((1 << 16) - 1, first_block + 1)):
-        write_checkpoint(path, 16, 17, True, last, scanned)
-        with pytest.raises(ValueError, match="no scan counts"):
-            search_mod.resume_point(path, 16, 17, True)
-    # every checkpoint a scan writes resumes
-    verify_lemma_all_symmetric(3, 5, checkpoint_path=path)
-    assert search_mod.resume_point(path, 3, 5, False) == (1024, 1024)
+            verify_lemma_all_symmetric(20, 40, half=half)
 
 
 def test_edge_size_below_one_is_refused():
@@ -687,13 +615,3 @@ def test_edge_size_below_one_is_refused():
             call(0, 3)
     with pytest.raises(ValueError, match="at least 1"):
         min_asymmetric_order(0, 1)  # no n in 2..1 to build an edge space on
-
-
-def test_resumed_half_scan_checkpoints_the_cumulative_count(tmp_path):
-    # 16-graphs on 17 points: two blocks of masks, all symmetric
-    full = verify_lemma_all_symmetric(16, 17, half=True)
-    path = str(tmp_path / "scan.ck")
-    partial = verify_lemma_all_symmetric(16, 17, half=True, start_mask=1 << 16, checkpoint_path=path)
-    assert partial.all_symmetric
-    assert partial.scanned == full.scanned - sum(math.comb(16, j) for j in range(9))
-    assert read_checkpoint(path) == (16, 17, True, (1 << 17) - 1, full.scanned)
