@@ -295,11 +295,15 @@ class _Engine:
         """`search(*args)`, one of the recursive searches, whose depth
         grows with n: a tree deeper than the recursion limit is refused,
         before any search when s vertices of one incidence list and base
-        colour, which refinement never splits, put s - 1 levels on the path.
-        A search that fails leaves no walk behind: the engine drops its
-        walk's state and leaves this thread's memo."""
+        colour, which refinement never splits, put s - 1 levels on the path
+        that reach it on top of the stack's frames.  A search that fails
+        leaves no walk behind: the engine drops its walk's state and
+        leaves this thread's memo."""
         try:
-            if self.n - len(set(zip(self.inc, self.base[0]))) >= sys.getrecursionlimit():
+            depth, frame = self.n - len(set(zip(self.inc, self.base[0]))), sys._getframe()
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            if depth >= sys.getrecursionlimit():
                 raise RecursionError
             return search(*args)
         except BaseException as exc:
@@ -523,10 +527,15 @@ def structure_engine(
 ) -> _Engine:
     """The engine of a raw structure; `inc`, if given, is its
     `_incidence` list, built once by the caller."""
-    pinned = frozenset(stabilize) if stabilize is not None else None
-    if pinned is not None and any(not 0 <= v < n for v in pinned):
+    return _Engine(n, edges, ordered, _pinned(n, stabilize), inc)
+
+
+def _pinned(n: int, stabilize: Optional[Sequence[int]]) -> frozenset[int]:
+    """The stabilized set, empty for None, refused unless its vertices are among the n points."""
+    pinned = frozenset(() if stabilize is None else stabilize)
+    if pinned and not (0 <= min(pinned) and max(pinned) < n):
         raise ValueError("stabilized vertex out of range")
-    return _Engine(n, edges, ordered, pinned, inc)
+    return pinned
 
 
 class _Memo(threading.local):
@@ -549,8 +558,7 @@ def _engine_of(
     """The engine this thread built here last if it is of the same
     structure and stabilized set, else a new engine, which takes its
     place: a held engine answers from the walks it has run."""
-    pinned = frozenset(stabilize if stabilize is not None else ()) or None
-    key = (n, tuple(edges), ordered, pinned)
+    key = (n, tuple(edges), ordered, _pinned(n, stabilize) or None)
     if _memo.key != key:
         _memo.key = _memo.engine = None  # the old engine goes before the new one is built
         _memo.engine = structure_engine(n, edges, ordered, stabilize)
@@ -566,7 +574,7 @@ def _twin_swap(inc: Sequence[tuple], stabilize: Optional[Sequence[int]] = None) 
     one point, so only two isolated points can match.  With a stabilized
     set, both vertices must be on the same side of it.
     """
-    pinned = frozenset(stabilize) if stabilize is not None else frozenset()
+    pinned = _pinned(len(inc), stabilize)
     first: dict = {}
     for v, around in enumerate(inc):
         prev = first.setdefault((around, v in pinned), v)
@@ -676,11 +684,11 @@ def brute_force_structure(
 ) -> AutomResult:
     if n > 9:
         raise ResourceGuardError(f"brute force automorphisms limited to n <= 9, got {n}")
-    pinned = frozenset(stabilize) if stabilize is not None else None
+    pinned = _pinned(n, stabilize)
     edge_set = frozenset(edges)
     found = []
     for p in permutations(range(n)):
-        if pinned is not None and {p[v] for v in pinned} != pinned:
+        if {p[v] for v in pinned} != pinned:
             continue
         if ordered:
             ok = all(tuple(p[v] for v in e) in edge_set for e in edges)

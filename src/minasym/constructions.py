@@ -207,9 +207,6 @@ def gen_gks(k: int, s: int) -> Hypergraph:
     return _build_gks(k, s)[0]
 
 
-_WITNESS_CACHE: dict[int, Optional[Hypergraph]] = {}
-
-
 def gen_asym_witness_2graph(n: int) -> Optional[Hypergraph]:
     """Deterministic asymmetric 2-graph on n vertices, or None.
 
@@ -224,16 +221,11 @@ def gen_asym_witness_2graph(n: int) -> Optional[Hypergraph]:
 
     if n < 2:
         raise ValueError("need n >= 2")
-    if n in _WITNESS_CACHE:
-        return _WITNESS_CACHE[n]
-    found: Optional[Hypergraph] = None
     for _, reps in classes_by_edge_count(n, 2):
         hits = [(canonical_key(g), g) for g in reps if is_asymmetric(g)]
         if hits:
-            found = canonical_form(min(hits)[1])
-            break
-    _WITNESS_CACHE[n] = found
-    return found
+            return canonical_form(min(hits)[1])
+    return None
 
 
 def _build_asym_witness(n: int) -> tuple[Hypergraph, list[str]]:

@@ -1,15 +1,16 @@
 """Exhaustive scans and isomorph-free enumeration of small k-graphs.
 
-Two independent enumeration strategies cover the same ground: exact
-orbit minima of all labeled edge sets, by popcount or a transversal
-chain of S_n, where an orbit of n! masks is an asymmetric class, and
-canonical augmentation growing one edge at a time.  Their class counts
-must agree; tests enforce it.  Augmentation keeps a child when its
-added edge lies in the orbit of the canonical deletion, picked by
-endpoint degrees, then refined edge colours, then the canonical
-labelling, which runs only on the children that tie twice.  It grows
-levels 0..C/2 only; each level m above is level C - m complemented.
-Each parent class, and its complement, carries its asymmetry verdict.
+Two independent enumeration strategies cover the same ground: the orbit
+census of all labeled edge sets, read off the popcount classes or orbit
+minima found by a transversal chain of S_n, where an orbit of n! masks
+is an asymmetric class, and canonical augmentation growing one edge at a
+time.  Their class counts must agree; tests enforce it.  Augmentation
+keeps a child when its added edge lies in the orbit of the canonical
+deletion, picked by endpoint degrees, then refined edge colours, then
+the canonical labelling, which runs only on the children that tie twice.
+It grows levels 0..C/2 only; each level m above is level C - m
+complemented.  Each parent class, and its complement, carries its
+asymmetry verdict.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
@@ -113,8 +114,8 @@ def _scan_labeled(k: int, n: int, half: bool) -> tuple[int, Optional[int], int]:
     automorphism group, so the skipped half is covered by the scanned
     one.  Popcount is constant on an orbit, so the skip acts on classes.
     """
-    least, census = _orbits(k, n)
-    total, limit = least.size, math.comb(n, k) // 2
+    census, c = _orbits(k, n), math.comb(n, k)
+    total, limit = 1 << c, c // 2
     found = (m for m, asym in census if asym and (not half or m.bit_count() <= limit))
     bad = next(found, None)
     return _counted_before(total if bad is None else bad + 1, half, limit), bad, total
@@ -153,33 +154,30 @@ def min_asymmetric_order(k: int, n_max: int) -> tuple[Optional[int], Optional[Hy
     return None, None
 
 
-def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
-    """`least`, each mask's orbit minimum by mask, and the census:
-    (orbit-minimum mask, asymmetric) for each isomorphism class of
-    k-graphs on n vertices, in mask order.
+def _orbits(k: int, n: int) -> list[tuple[int, bool]]:
+    """The census: (orbit-minimum mask, asymmetric) per k-graph class on n vertices, in mask order.
 
-    For k = 1 or k >= n - 1, S_n moves the edges as it moves the points,
-    so the orbits are the popcount classes.  Otherwise, as T_j = {id} and
-    the (i j), i < j, is a transversal of S_j in S_(j+1), j = 1..n-1 gives
+    For k = 1 or k >= n - 1, S_n moves the edges as it moves the points, so
+    the orbits are the popcount classes.  Otherwise `least`, each mask's
+    orbit minimum, follows a transversal chain: as T_j = {id} and the (i j),
+    i < j, is a transversal of S_j in S_(j+1), j = 1..n-1 gives
     least_(j+1)[x] = min over t in T_j of least_j[t(x)] (Holt, Eick &
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  One
     array serves every level: each value it holds at y is a mask of y's
-    S_(j+1)-orbit and at most least_j[y], so a min over T_j that mixes
-    old and new values is still exactly least_(j+1)[x].  By
-    orbit-stabiliser an orbit of n! masks is asymmetric.
+    S_(j+1)-orbit and at most least_j[y], so a min over T_j that mixes old
+    and new values is still exactly least_(j+1)[x].  By orbit-stabiliser an
+    orbit of n! masks is asymmetric.
     """
     edges = _edge_space(n, k)
     c = len(edges)
+    if k == 1 or k >= n - 1:
+        return [((1 << p) - 1, math.comb(c, p) == math.factorial(n)) for p in range(c + 1)]
     total = 1 << c
     least = np.arange(total, dtype=np.int32)
     # Blocks of _CHUNK masks (or one of all), 2^lo_bits-aligned for `_Remap.span`, keep the
     # temporaries small.  The space has a power-of-two size, so every block has `block` masks.
     block = min(total, _CHUNK)
     spans = [(lo, lo + block) for lo in range(0, total, block)]
-    if k == 1 or k >= n - 1:
-        for lo, hi in spans:  # int32 before the shift: 1 << 8 wraps in bitwise_count's uint8
-            least[lo:hi] = (1 << np.bitwise_count(least[lo:hi]).astype(np.int32)) - 1
-        return least, [((1 << p) - 1, math.comb(c, p) == math.factorial(n)) for p in range(c + 1)]
     # Reused buffers: fresh block temporaries would fault in their pages on every gather.
     idx, vals = np.empty(block, dtype=np.intp), np.empty(block, dtype=np.int32)
     for j in range(1, n):
@@ -196,7 +194,7 @@ def _orbits(k: int, n: int) -> tuple[np.ndarray, list[tuple[int, bool]]]:
         sizes[np.searchsorted(reps, values)] += counts
     # Python ints: n! passes the int64 range from n = 21.
     order = math.factorial(n)
-    return least, [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
+    return [(mask, size == order) for mask, size in zip(reps.tolist(), sizes.tolist())]
 
 
 def _mask_classes(k: int, n: int, masks: Sequence[int]) -> list[Hypergraph]:
@@ -210,12 +208,12 @@ def enumerate_k_graphs(k: int, n: int) -> list[Hypergraph]:
     vertices, ordered by edge count then edge list: the least mask of
     each orbit under the vertex permutations (`_orbits`), edges in
     `combinations` order, not the engine's canonical form."""
-    return _mask_classes(k, n, [mask for mask, _ in _orbits(k, n)[1]])
+    return _mask_classes(k, n, [mask for mask, _ in _orbits(k, n)])
 
 
 def scan_classes(k: int, n: int) -> SearchOutcome:
     """Class census at (k, n); a witness is its class's least edge mask."""
-    census = _orbits(k, n)[1]
+    census = _orbits(k, n)
     asym = [mask for mask, asymmetric in census if asymmetric]
     return SearchOutcome(
         k=k,

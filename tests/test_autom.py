@@ -613,6 +613,20 @@ def test_stabilizer_rejects_bad_vertices():
         automorphisms_stabilizing(h, [0, 5])
 
 
+def test_every_stabilized_query_rejects_bad_vertices():
+    """The range check comes before the twin-swap shortcut: the empty
+    graph's twins would otherwise answer the query."""
+    h = Hypergraph(3, [])
+    queries = (find_nonidentity_automorphism, has_involution, automorphisms, brute_force_automorphisms)
+    for bad in ([7], [-1], [0, 3]):
+        for query in queries:
+            with pytest.raises(ValueError, match="out of range"):
+                query(h, stabilize=bad)
+        with pytest.raises(ValueError, match="out of range"):
+            automorphisms_stabilizing(h, bad)
+    assert find_nonidentity_automorphism(h, stabilize=[2]) == (1, 0, 2)
+
+
 def test_search_trees_deeper_than_the_recursion_limit_are_refused(monkeypatch):
     # refinement never splits an empty structure, so its identity path has
     # n - 1 levels, one recursion frame each
@@ -858,12 +872,20 @@ def test_engine_outputs_are_pinned():
     }
 
 
+def _stack_depth(frame) -> int:
+    depth = 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 def test_trees_deeper_than_the_limit_are_refused_before_walking(monkeypatch):
     """Refinement never splits vertices with one incidence list and one
     base colour, so a class of s such vertices puts s - 1 levels on the
-    identity path.  When those levels alone reach the recursion limit the
-    search is refused before any walk; a structure below that bound, or
-    one whose vertices refinement can tell apart, still gets its group."""
+    identity path.  When those levels, on top of the frames already on the
+    stack, reach the recursion limit the search is refused before any
+    walk; a structure below that bound, or one whose vertices refinement
+    can tell apart, still gets its group."""
     walk, walks = _Engine._walk, []
 
     def counted(self, *args):
@@ -871,19 +893,24 @@ def test_trees_deeper_than_the_limit_are_refused_before_walking(monkeypatch):
         return walk(self, *args)
 
     monkeypatch.setattr(_Engine, "_walk", counted)
-    monkeypatch.setattr(autom_mod.sys, "getrecursionlimit", lambda: 40)
-    for query in (automorphisms, canonical_key):
-        with pytest.raises(ResourceGuardError, match="n = 41 points"):
-            query(Hypergraph(41, []))
-        assert walks == [] and autom_mod._memo.engine is None
-    assert automorphisms(Hypergraph(40, [])).group_order == math.factorial(40)
-    assert automorphisms(Hypergraph(41, [(i, i + 1) for i in range(40)])).group_order == 2
-    assert walks
-    monkeypatch.undo()
-    start = time.perf_counter()
-    with pytest.raises(ResourceGuardError, match="n = 4000 points"):
-        automorphisms(Hypergraph(4000, []))
-    assert time.perf_counter() - start < 1
+    with monkeypatch.context() as patched:
+        # a fake limit 40 frames above the stack of the search that asks for it
+        patched.setattr(autom_mod.sys, "getrecursionlimit", lambda: _stack_depth(sys._getframe(1)) + 40)
+        for query in (automorphisms, canonical_key):
+            with pytest.raises(ResourceGuardError, match="n = 41 points"):
+                query(Hypergraph(41, []))
+            assert walks == [] and autom_mod._memo.engine is None
+        assert automorphisms(Hypergraph(40, [])).group_order == math.factorial(40)
+        assert automorphisms(Hypergraph(41, [(i, i + 1) for i in range(40)])).group_order == 2
+        assert walks
+    # under the real limit the frames below the search count: at n equal to
+    # the limit (1000 by default), n - 1 levels plus this test's stack reach it
+    walks.clear()
+    for n in (sys.getrecursionlimit(), 4 * sys.getrecursionlimit()):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=f"n = {n} points"):
+            automorphisms(Hypergraph(n, []))
+        assert walks == [] and time.perf_counter() - start < 1, n
 
 
 def _cycles(n: int, copies: int = 1) -> Hypergraph:

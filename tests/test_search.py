@@ -260,6 +260,8 @@ def test_remap_span_equals_the_per_mask_image():
 
 
 def test_orbit_minima_match_the_full_group():
+    """The census is the orbit minima of the n! oracle, each asymmetric
+    exactly when n! masks share it."""
     # (1, 6) and (6, 7): popcount classes; (2, 5) and (3, 5): the transversal chain
     for k, n in ((2, 5), (3, 5), (1, 6), (6, 7)):
         edges = search_mod._edge_space(n, k)
@@ -267,41 +269,55 @@ def test_orbit_minima_match_the_full_group():
         least = masks.copy()
         for perm in itertools.permutations(range(n)):
             np.minimum(least, _images(perm, edges, masks), out=least)
-        assert np.array_equal(search_mod._orbits(k, n)[0], least), (k, n)
+        reps, counts = np.unique(least, return_counts=True)
+        expected = [(mask, count == math.factorial(n)) for mask, count in zip(reps.tolist(), counts.tolist())]
+        assert search_mod._orbits(k, n) == expected, (k, n)
 
 
 def test_orbit_minima_match_the_fixpoint_sweep():
     """Every cell with at most 21 edges, plus (3, 6) and (20, 21): the
-    popcount classes past 8 edges, as at (1, 8) and (7, 8), need int32
-    shifts, and the chain must land where the sweep does."""
+    closed-form popcount census, as at (1, 8) and (7, 8), and the
+    chain's census must both be the sweep's."""
     cells = [(k, n) for n in range(22) for k in range(1, n + 2) if math.comb(n, k) <= 21]
     for k, n in cells + [(3, 6), (20, 21)]:
-        least, census = search_mod._orbits(k, n)
-        expected_least, expected_census = sweep_orbits(k, n)
-        assert least.dtype == expected_least.dtype and np.array_equal(least, expected_least), (k, n)
-        assert census == expected_census, (k, n)
+        assert search_mod._orbits(k, n) == sweep_orbits(k, n)[1], (k, n)
 
 
 def test_orbit_census_pins_the_large_cells():
     # (3, 6): OEIS A000665; (20, 21): every 20-graph on 21 vertices is symmetric
     for k, n, classes, asymmetric in ((3, 6, 2136, 1010), (20, 21, 22, 0)):
-        census = search_mod._orbits(k, n)[1]
+        census = search_mod._orbits(k, n)
         assert len(census) == classes, (k, n)
         assert sum(asym for _, asym in census) == asymmetric, (k, n)
 
 
+def _traced_peak(run):
+    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_orbit_census_adds_no_full_space_temporary():
-    """Block-sized temporaries only: the peak stays near `least` itself."""
+    """Block-sized temporaries only: on the transversal chain the peak
+    stays near the int32 orbit-minimum array of 2^C masks itself."""
     search_mod._orbits(2, 4)
-    # (2, 7): the transversal chain; (20, 21): the popcount classes
-    for k, n in ((2, 7), (20, 21)):
-        tracemalloc.start()
-        try:
-            least, _ = search_mod._orbits(k, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * least.nbytes, (k, n, peak / least.nbytes)
+    _, peak = _traced_peak(lambda: search_mod._orbits(2, 7))
+    assert peak < 1.25 * 4 * (1 << 21), peak
+
+
+def test_popcount_cells_allocate_no_mask_array():
+    """The popcount census is closed-form: up to the 24-bit guard its
+    peak is far below one int32 per mask (4 MiB at 2^20 masks)."""
+    search_mod._orbits(1, 3)
+    for k, n in ((20, 21), (1, 24), (23, 24)):
+        _, peak = _traced_peak(lambda: search_mod._orbits(k, n))
+        assert peak < 64 << 10, (k, n, peak)
+    scan, peak = _traced_peak(lambda: verify_lemma_all_symmetric(23, 24))
+    assert peak < 64 << 10, peak
+    assert scan.all_symmetric and scan.scanned == 1 << 24
 
 
 def test_augmentation_is_duplicate_free():
