@@ -25,9 +25,9 @@ vertex, so `find_involution` searches only the swaps of that vertex.
 Consecutive whole-structure queries (the group, the canonical key and
 the canonical form) on equal structures share one engine per thread,
 so the canonical walk runs once for both canonical queries; the
-twin-first asymmetry and involution queries do not share.  A hypergraph
-may carry the verdict `is_asymmetric` returns, recorded by augmentation
-from a finished walk, whose generators are empty iff the group is trivial.
+twin-first asymmetry and involution queries do not share.  Each class
+augmentation yields carries the verdict `is_asymmetric` returns, read off
+a walk run to its end: its generators are empty iff the group is trivial.
 The deterministic Schreier-Sims stabilizer chain (`group_order`) and a
 factorial brute-force oracle (n <= 9) are independent routes for
 cross-checking.
@@ -611,8 +611,8 @@ def find_nonidentity_automorphism(
     return _nonidentity(h.n, h.edges, False, stabilize)
 
 
-def _record_asymmetry(h: Hypergraph, asymmetric: Optional[bool]) -> Hypergraph:
-    """h, with whether it is asymmetric (None: unknown) recorded outside its fields."""
+def _record_asymmetry(h: Hypergraph, asymmetric: bool) -> Hypergraph:
+    """h, with whether it is asymmetric recorded outside its fields."""
     object.__setattr__(h, "_asymmetric", asymmetric)
     return h
 
@@ -622,7 +622,7 @@ def _recorded_asymmetry(h: Hypergraph) -> Optional[bool]:
 
 
 def is_asymmetric(h: Hypergraph) -> bool:
-    """No non-identity automorphism: h's recorded verdict, else a search to the first witness."""
+    """No non-identity automorphism: a census class's recorded verdict, else a search."""
     verdict = _recorded_asymmetry(h)
     return find_nonidentity_automorphism(h) is None if verdict is None else verdict
 

@@ -9,8 +9,7 @@ keeps a child when its added edge lies in the orbit of the canonical
 deletion, picked by endpoint degrees, then refined edge colours, then
 the canonical labelling, which runs only on the children that tie twice.
 It grows levels 0..C/2 only; each level m above is level C - m
-complemented.  Each parent class, and its complement, carries its
-asymmetry verdict.
+complemented.  Every class it yields carries its asymmetry verdict.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
@@ -62,9 +61,13 @@ class LemmaScan:
     witness: Optional[Hypergraph]
 
 
-def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
+def _edge_size(k: int) -> None:
     if k < 1:
         raise ValueError(f"edge size k must be at least 1, got {k}")
+
+
+def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
+    _edge_size(k)
     c = math.comb(n, k)
     if c > _BIT_LIMIT:
         raise ResourceGuardError(
@@ -146,7 +149,7 @@ def min_asymmetric_order(k: int, n_max: int) -> tuple[Optional[int], Optional[Hy
 
     One-vertex structures are ignored as trivially asymmetric.
     """
-    _edge_space(k, k)  # refuses k < 1 also when n_max < 2
+    _edge_size(k)
     for n in range(2, n_max + 1):
         _, mask, _ = _scan_labeled(k, n, half=True)
         if mask is not None:
@@ -289,7 +292,7 @@ def _best(kept: Iterable[int], score) -> list[int]:
 
 
 def _walked(h: Hypergraph, engine: Optional[_Engine]) -> tuple[Hypergraph, list[Perm]]:
-    """h, its asymmetry recorded, with the generators of a finished walk on `engine` or a new one."""
+    """h, its asymmetry recorded, with the generators of a walk to its end on `engine` or a new one."""
     gens = (structure_engine(h.n, h.edges, False) if engine is None else engine).generators()
     return _record_asymmetry(h, not gens), gens
 
@@ -306,19 +309,18 @@ def classes_by_edge_count(
     grown; each level m above is the complements, within the k-subsets,
     of level C - m in its order.  That is exact: complementing commutes
     with relabelling, so it maps the classes with C - m edges one-to-one
-    onto those with m, keeping each automorphism group.  The classes of
-    grown levels below the last, the parents, and their complements are
-    yielded with `is_asymmetric`'s verdict recorded: a parent's walk runs
-    to its end, and its generators are empty exactly when the group is trivial.
+    onto those with m, keeping each automorphism group.  Every class
+    carries `is_asymmetric`'s verdict: each grown class is walked to its
+    end, on the engine its acceptance test built if any, and its
+    generators are empty exactly when its group is trivial.
     """
+    _edge_size(k)
     all_edges = list(combinations(range(n), k))
     c = len(all_edges)
     top = c if max_edges is None else min(max(max_edges, 0), c)
     half = min(top, c // 2)
-    # Each class with its generators if a parent, walked once accepted on the engine its
-    # acceptance test built, if any; any generating set gives the same edge orbits.
-    empty = Hypergraph(n, (), k=k)
-    current = [_walked(empty, None) if half else (empty, [])]
+    # Each class with its generators; any generating set gives the same edge orbits.
+    current = [_walked(Hypergraph(n, (), k=k), None)]
     kept: dict[int, list[Hypergraph]] = {}  # levels C - top..C - half - 1, to complement
     for m in range(half + 1):
         reps = [h for h, _ in current]
@@ -330,17 +332,14 @@ def classes_by_edge_count(
         grown: list[tuple[Hypergraph, list[Perm]]] = []
         for parent, gens in current:
             deg = degrees(parent)
-            present = parent.edge_set()
-            candidates = [e for e in all_edges if e not in present]
-            visited: set[tuple[int, ...]] = set()
-            for cand in candidates:
+            visited = set(parent.edges)  # the group keeps the non-edges, so skip the edges
+            for cand in all_edges:
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
                 accepted, engine = _augmentation_accepts(parent, cand, deg)
-                if accepted:  # level `half` is never a parent, so it is not walked
-                    child = Hypergraph(n, parent.edges + (cand,), k=k)
-                    grown.append(_walked(child, engine) if m + 1 < half else (child, []))
+                if accepted:
+                    grown.append(_walked(Hypergraph(n, parent.edges + (cand,), k=k), engine))
         current = grown
     for m in range(half + 1, top + 1):  # a complement keeps its class's group, so its verdict
         yield m, [_record_asymmetry(Hypergraph(n, set(all_edges) - h.edge_set(), k=k),

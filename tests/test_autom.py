@@ -47,7 +47,9 @@ from minasym.autom import _Engine, structure_engine
 from util import (
     oracle_automorphisms,
     oracle_automorphisms_rel,
+    oracle_involution,
     oracle_isomorphic,
+    oracle_nonidentity,
     oracle_refine,
     random_mixed,
     random_relational,
@@ -469,15 +471,22 @@ def test_twin_vertices_give_a_swap():
 
 
 def test_find_nonidentity_none_only_when_asymmetric():
+    """The twin-first queries against the factorial oracles: a
+    non-identity automorphism or an involution is found exactly when the
+    oracle finds one, and each witness is genuine."""
     rng = random.Random(31)
     for _ in range(100):
         h = random_mixed(rng)
         p = find_nonidentity_automorphism(h)
         if p is None:
-            assert is_asymmetric(h)
+            assert oracle_nonidentity(h) is None, (h.n, h.edges)
         else:
             assert p != tuple(range(h.n))
             assert is_automorphism(h, p)
+        inv = has_involution(h)
+        assert (inv is None) == (oracle_involution(h) is None), (h.n, h.edges)
+        if inv is not None:
+            assert is_involution(inv) and is_automorphism(h, inv), (h.n, h.edges)
 
 
 def random_cubic(n: int, rng: random.Random) -> Hypergraph:
@@ -697,12 +706,9 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
 
 def test_incidence_lists_are_built_once_per_structure(monkeypatch):
     # the twin check hands its lists on to the engine, and automorphisms
-    # reads the engine's for its twin witness; is_asymmetric builds none
-    # for the classes that carry the verdict augmentation recorded, all
-    # but those of level 7 = 15 // 2 and its complement, level 8
-    levels = list(classes_by_edge_count(6, 2))
-    classes = [h for _, layer in levels for h in layer]
-    walked = [m not in (7, 8) for m, layer in levels for _ in layer]
+    # reads the engine's for its twin witness; is_asymmetric builds none,
+    # as every class carries the verdict augmentation recorded
+    classes = [h for _, layer in classes_by_edge_count(6, 2) for h in layer]
     calls = []
     incidence = autom_mod._incidence
 
@@ -717,17 +723,14 @@ def test_incidence_lists_are_built_once_per_structure(monkeypatch):
             before = len(calls)
             query(h)
             per_structure.append(len(calls) - before)
-        if query is is_asymmetric:
-            assert Counter(zip(walked, per_structure)) == {(True, 0): 108, (False, 1): 48}
-        else:
-            assert set(per_structure) == {1}, (query.__name__, Counter(per_structure))
+        expected = {0} if query is is_asymmetric else {1}
+        assert set(per_structure) == expected, (query.__name__, Counter(per_structure))
     assert len(classes) == 156
 
 
 def test_is_asymmetric_reads_a_recorded_verdict_without_an_engine(monkeypatch):
-    """On the 748 classes of (2,7) that carry a verdict, 92 of them
-    asymmetric, is_asymmetric builds no engine; on the 296 of levels 10
-    and 11 it searches as before."""
+    """Every one of the 1044 classes of (2,7), the 152 asymmetric ones
+    among them, carries a verdict, so is_asymmetric builds no engine."""
     levels = list(classes_by_edge_count(7, 2))
     build, built = autom_mod.structure_engine, []
 
@@ -736,12 +739,10 @@ def test_is_asymmetric_reads_a_recorded_verdict_without_an_engine(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(autom_mod, "structure_engine", counted)
-    carried = [h for _, reps in levels for h in reps if autom_mod._recorded_asymmetry(h) is not None]
-    assert (len(carried), sum(map(is_asymmetric, carried))) == (748, 92)
+    classes = [h for _, reps in levels for h in reps]
+    assert all(autom_mod._recorded_asymmetry(h) is not None for h in classes)
+    assert (len(classes), sum(map(is_asymmetric, classes))) == (1044, 152)
     assert built == []
-    rest = [h for m, reps in levels if m in (10, 11) for h in reps]
-    assert len(rest) == 296 and sum(map(is_asymmetric, rest)) == 60
-    assert built
 
 
 def test_a_recorded_verdict_is_outside_the_hypergraph_fields():

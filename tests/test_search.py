@@ -1,5 +1,6 @@
 """Labeled-space scans and class enumeration."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -343,28 +344,23 @@ def test_augmentation_pins_the_graphs_on_eight_vertices():
     sizes = list(map(len, levels))
     assert len(sizes) == 29 and sizes == sizes[::-1]
     assert sum(sizes) == 12346
+    assert all(autom_mod._recorded_asymmetry(r) is not None for reps in levels for r in reps)
     assert sum(is_asymmetric(r) for reps in levels for r in reps) == 3696
 
 
 def test_augmentation_records_exact_asymmetry_verdicts():
-    """When a level is yielded, each class that was walked as a parent
-    and each complement of one carries the asymmetry verdict, which a
-    fresh engine and the orbit-size oracle confirm (an orbit of n! masks
-    is an asymmetric class); the last grown level and its complement,
-    never parents, carry none, with or without an edge cut."""
+    """When a level is yielded, every class in it, grown or complemented,
+    carries the asymmetry verdict, with or without an edge cut; a fresh
+    engine and the orbit-size oracle confirm it (an orbit of n! masks is
+    an asymmetric class)."""
     for n, k, cut in ((5, 2, None), (6, 2, None), (7, 2, None), (6, 3, None),
-                      (6, 2, 5), (6, 2, 7), (6, 2, 12)):
+                      (6, 2, 0), (6, 2, 5), (6, 2, 7), (6, 2, 12)):
         least, census = sweep_orbits(k, n)
         orbit_asymmetric = dict(census)
         index = {e: i for i, e in enumerate(itertools.combinations(range(n), k))}
-        c = len(index)
-        last = min(c if cut is None else cut, c // 2)
         for m, reps in classes_by_edge_count(n, k, cut):
             for h in reps:
                 verdict = autom_mod._recorded_asymmetry(h)
-                if min(m, c - m) == last:
-                    assert verdict is None, (n, k, cut, m)
-                    continue
                 mask = sum(1 << index[e] for e in h.edges)
                 assert verdict is (autom_mod._nonidentity(n, h.edges, False) is None), (n, k, m, h)
                 assert verdict is orbit_asymmetric[int(least[mask])], (n, k, m, h)
@@ -445,13 +441,12 @@ def test_deletion_labels_only_the_children_that_tie(monkeypatch):
 
 
 def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
-    """A class whose acceptance test built an engine is queried as a
-    parent on that engine; only the empty graph and the classes accepted
-    by degrees alone, which built none, get an engine as parents.  Level
-    10 = C(7,2) // 2 and the complemented levels 11..21 are never
-    parents."""
+    """A class whose acceptance test built an engine is walked on that
+    engine; only the empty graph and the classes accepted by degrees
+    alone, which built none, get an engine of their own.  The grown
+    levels are 0..10 = C(7,2) // 2; levels 11..21 are complements."""
     accepts, build = search_mod._augmentation_accepts, search_mod.structure_engine
-    held, testing, parents = {}, [], []
+    held, testing, own = {}, [], []
 
     def recorded_accepts(parent, added, deg):
         testing.append(added)
@@ -463,15 +458,15 @@ def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
 
     def recorded_build(n, edges, ordered):
         if not testing:
-            parents.append(frozenset(edges))
+            own.append(frozenset(edges))
         return build(n, edges, ordered)
 
     monkeypatch.setattr(search_mod, "_augmentation_accepts", recorded_accepts)
     monkeypatch.setattr(search_mod, "structure_engine", recorded_build)
     assert sum(len(reps) for _, reps in classes_by_edge_count(7, 2)) == 1044
-    bare = {edges for edges, engine in held.items() if engine is None and len(edges) < 10}
-    assert sorted(parents, key=sorted) == sorted(bare | {frozenset()}, key=sorted)
-    assert (len(held), len(parents)) == (521, 134)  # (1043, 384) when every level was grown
+    bare = {edges for edges, engine in held.items() if engine is None and len(edges) <= 10}
+    assert sorted(own, key=sorted) == sorted(bare | {frozenset()}, key=sorted)
+    assert (len(held), len(own)) == (521, 196)  # (1043, 384) when every level was grown
 
 
 def _complement(h):
@@ -538,6 +533,32 @@ def test_augmentation_holds_no_engine_for_the_middle_level(monkeypatch):
     middle = [ref for size, ref in built if size == 10]
     assert middle and [ref for ref in middle if ref() is not None] == []
     assert sum(len(reps) for _, reps in levels) == 1044 - 522
+
+
+def _census_outputs(n, k, cut=None):
+    return [(n, k, m, [h.edges for h in reps], [is_asymmetric(h) for h in reps])
+            for m, reps in classes_by_edge_count(n, k, cut)]
+
+
+def test_census_outputs_are_pinned():
+    """sha256 digests of each level's representatives and asymmetry
+    verdicts, pinned for the graphs on 5, 6 and 7 vertices, the triple
+    systems on 5 and 6, and edge cuts of 0, 5 and 7 on 6 vertices.  A
+    future declared output change must re-pin these digests and log that
+    in CHANGES.md."""
+    got = {f"({k},{n})": _census_outputs(n, k) for k, n in ((2, 5), (2, 6), (2, 7), (3, 5), (3, 6))}
+    got.update({f"(2,6) cut {cut}": _census_outputs(6, 2, cut) for cut in (0, 5, 7)})
+    digests = {name: hashlib.sha256(repr(out).encode()).hexdigest() for name, out in got.items()}
+    assert digests == {
+        "(2,5)": "5a064dc180ae3bb3ddaa5b5d2e853f72d7720dba38faa08ee32f03ce95440dc2",
+        "(2,6)": "d63e9ff79f89d87599fb92c036981ccd1cdeb23806d1d61bc17b6aa3752fd42e",
+        "(2,7)": "b50a3d0d698f4cfab249f4063c877ef672e2bae899b745f21ac38c0d78d0a510",
+        "(3,5)": "c62febb3dd246c2cb96ce979e350afd63eb0cbd2f75d88df3ae1ccacf70fb7c3",
+        "(3,6)": "0267309c201840388c7016bc4ca5e8d1a701c6379504241d1bf610887ca39e13",
+        "(2,6) cut 0": "5e379e5313f889cf8556bd48fadaaaf8e45ad22a902c9929b0cb2562c95b1fbf",
+        "(2,6) cut 5": "c96629f7be85d7c40630d27e58e67ccbf7f42569ecafa7d31d931f504c8a4da2",
+        "(2,6) cut 7": "9325ecabbeae72ab8db18c384887058af18b3979167ba8ffbbd3a288171169f1",
+    }
 
 
 def test_augmentation_of_one_edge_and_of_no_edge():
@@ -631,3 +652,6 @@ def test_edge_size_below_one_is_refused():
             call(0, 3)
     with pytest.raises(ValueError, match="at least 1"):
         min_asymmetric_order(0, 1)  # no n in 2..1 to build an edge space on
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="edge size k must be at least 1"):
+            next(classes_by_edge_count(3, k))
