@@ -14,7 +14,9 @@ complemented.  Every class it yields carries its asymmetry verdict.
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form: no engine runs on
 the labeled path, and `_scan_labeled` reads its witness, the first
-asymmetric minimum, off the same census.
+asymmetric minimum, off the same census.  Only the labeled census
+(`_orbits`, `_Remap`) imports numpy, inside its functions: it is most of
+the package's import cost, and augmentation never needs it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .autom import _Engine, _record_asymmetry, _recorded_asymmetry, structure_engine
 from .errors import ResourceGuardError
@@ -88,6 +88,7 @@ class _Remap:
 
     @staticmethod
     def _table(img: list[int]) -> np.ndarray:
+        import numpy as np
         t = np.zeros(1, dtype=np.int32)
         for bit in img:  # indexes with this bit set form the upper half
             t = np.concatenate([t, t | bit])
@@ -95,6 +96,7 @@ class _Remap:
 
     def span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Images of masks lo..hi-1 into the intp `out`; lo and hi are multiples of 2^lo_bits."""
+        import numpy as np
         rows = self.hi[lo >> self.lo_bits : hi >> self.lo_bits, None]
         return np.bitwise_or(rows, self.lo, out=out.reshape(rows.size, -1)).ravel()
 
@@ -171,6 +173,7 @@ def _orbits(k: int, n: int) -> list[tuple[int, bool]]:
     and new values is still exactly least_(j+1)[x].  By orbit-stabiliser an
     orbit of n! masks is asymmetric.
     """
+    import numpy as np
     edges = _edge_space(n, k)
     c = len(edges)
     if k == 1 or k >= n - 1:

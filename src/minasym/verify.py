@@ -18,7 +18,8 @@ twins next meet a transposition test on their picks: a swap of two
 support vertices that maps every picked edge to a picked edge is an
 involution.  Only masks that no swap fixes reach the engine.  Every
 scan runs in this process; the public verifiers accept `workers` and
-ignore it.
+ignore it.  Only the exhaustive scan's functions import numpy, most of
+the package's import cost: sampled and asymmetry checks never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 import random
 import time
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .autom import _incidence, _involution, _nonidentity, find_nonidentity_automorphism
 from .errors import ResourceGuardError
@@ -99,6 +98,7 @@ class _Subsets:
     def incidence(self) -> np.ndarray:
         """Per vertex, its incident edges as bits of int64 words, `_WORD`
         edges to a word."""
+        import numpy as np
         inc = np.zeros((self.n, max(1, -(-len(self.edges) // _WORD))), dtype=np.int64)
         for i, vmask in enumerate(self.edge_bits):
             for v in _bits(vmask, self.n):
@@ -113,6 +113,7 @@ def _support_twins(
     support, and whether two support vertices v have equal rows
     `picks & inc[v]` and so swap as twins (never with `ordered`: each
     tuple slot holds one point)."""
+    import numpy as np
     rows = picks[:, None, :] & inc
     support = rows.any(axis=2)
     if ordered:
@@ -128,6 +129,7 @@ def _support_twins(
 def _edge_blocks(subsets: _Subsets):
     """Edge masks from 1 in blocks: masks, support sizes, twins, picks.
     An edge mask is its own pick, a row of one int64 word."""
+    import numpy as np
     inc = subsets.incidence()
     step = max(1, _BLOCK // (subsets.n or 1))
     for lo in range(1, subsets.full + 1, step):
@@ -138,6 +140,7 @@ def _edge_blocks(subsets: _Subsets):
 def _picked_table(inc: np.ndarray, verts: range) -> np.ndarray:
     """Per bitmask x over `verts` (bit i for verts[i]), the edges none
     of whose vertices in `verts` lies outside x, in int64 words."""
+    import numpy as np
     table = np.bitwise_or.reduce(inc, axis=0, keepdims=True)
     for v in verts:  # masks with v's bit set form the upper half
         table = np.concatenate([table & ~inc[v], table])
@@ -157,6 +160,7 @@ def _vertex_blocks(subsets: _Subsets):
     keeps.  The low table and each block's temporaries hold at most
     `_BLOCK` elements, and the high table 2^(n - lo) rows.
     """
+    import numpy as np
     inc = subsets.incidence()
     n, words = inc.shape
     lo = min(n, (_BLOCK // (n * words or 1)).bit_length() - 1)
@@ -185,6 +189,7 @@ def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, 
     after the swap.  Images are found among the edges by sorting all
     the rows together and numbering the runs of equal rows.
     """
+    import numpy as np
     m = len(edges)
     dtype = np.min_scalar_type(n)
     rows = np.full((m + 1, max([1, *map(len, edges)])), n, dtype=dtype)  # n pads, sorts last
@@ -222,6 +227,7 @@ def _swap_fixed(tables, m: int, picks: np.ndarray) -> np.ndarray:
     involution of the picked sub-structure; without a in the support it
     would fix any pick.  Index m reads the sign bit, which no pick sets.
     Picks go in chunks of at most `_BLOCK` pick × swap × edge cells."""
+    import numpy as np
     src, img, has_a = tables
     word, bit = np.divmod(np.arange(m), _WORD)
     word, bit = np.append(word, 0), np.append(bit, 63)
@@ -251,6 +257,7 @@ def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
     `subsets.test`.  A swap is an involution too, so no skipped mask
     is a violation.
     """
+    import numpy as np
     n, m, kind = subsets.n, len(subsets.edges), subsets.kind
     if not kind.induced and m > _WORD:
         raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
