@@ -7,19 +7,14 @@ those must have: any non-identity automorphism, or an involution.
 
 Edge-subset scans use the isolated-vertex reduction: appending two or
 more isolated vertices always yields a swap, and appending exactly one
-changes nothing (the lone isolated vertex is fixed by every
-automorphism).  Each edge subset therefore stands for all its vertex
-extensions, and only its support matters.  Vertex-subset scans pick
-induced sub-structures.  A mask's pick is its edges as bits of int64
-words: an edge mask is its own pick, a vertex mask's is one AND of a
-table over its low vertex bits and one over its high bits.  The twin
-sieve runs once per distinct pick in a block of masks.  Masks without
-twins next meet a transposition test on their picks: a swap of two
-support vertices that maps every picked edge to a picked edge is an
-involution.  Only masks that no swap fixes reach the engine.  Every
-scan runs in this process; the public verifiers accept `workers` and
-ignore it.  Only the exhaustive scan's functions import numpy, most of
-the package's import cost: sampled and asymmetry checks never load it.
+changes nothing (it is fixed by every automorphism), so an edge subset
+stands for all its vertex extensions and only its support matters.
+Vertex-subset scans pick induced sub-structures.  A mask's pick is its
+edges as bits of int64 words.  Support vertices u, v are twins in a pick
+that misses inc[u] ^ inc[v] and meets inc[u] & inc[v]; twins swap, and
+masks whose pick no twin or transposition fixes reach the engine.  Scans
+run in this process (`workers` is accepted and ignored), and only their
+functions import numpy: sampled and asymmetry checks never load it.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from .report import VerificationReport, perm_line
 
 _EXHAUSTIVE_EDGE_LIMIT = 20
 _WORD = 62  # edge bits per int64 word of a scan row
-_BLOCK = 1 << 16  # int64 words of twin-test rows per scan block
+_BLOCK = 1 << 16  # cells of a scan block's temporaries, and the most picks tabled at once
 
 
 class _Kind(NamedTuple):
@@ -100,41 +95,48 @@ class _Subsets:
         edges to a word."""
         import numpy as np
         inc = np.zeros((self.n, max(1, -(-len(self.edges) // _WORD))), dtype=np.int64)
-        for i, vmask in enumerate(self.edge_bits):
-            for v in _bits(vmask, self.n):
-                inc[v, i // _WORD] |= 1 << i % _WORD
+        for i, e in enumerate(self.edges):
+            inc[list(set(e)), i // _WORD] |= 1 << i % _WORD
         return inc
 
 
-def _support_twins(
-    picks: np.ndarray, inc: np.ndarray, ordered: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per set of picked edges (a row of int64 words): the size of its
-    support, and whether two support vertices v have equal rows
-    `picks & inc[v]` and so swap as twins (never with `ordered`: each
-    tuple slot holds one point)."""
+def _twin_pairs(inc: np.ndarray, ordered: bool) -> list[np.ndarray]:
+    """Rows D = inc[u] ^ inc[v] and C = inc[u] & inc[v] of the vertex pairs
+    that share an edge, each (D, C) once, fewest bits of D (most twins)
+    first; none when `ordered`, as each tuple slot holds one point."""
     import numpy as np
-    rows = picks[:, None, :] & inc
-    support = rows.any(axis=2)
-    if ordered:
-        return support.sum(axis=1), np.zeros(len(picks), dtype=bool)
-    np.copyto(rows[:, :, 0], -1 - np.arange(len(inc)), where=~support)  # no twin among sentinels
-    if rows.shape[2] == 1:
-        rows.sort(axis=1)
-    else:  # a row sharing only the first word may split a twin pair: then the engine decides
-        rows = np.take_along_axis(rows, np.argsort(rows[:, :, 0], axis=1)[:, :, None], axis=1)
-    return support.sum(axis=1), (rows[:, 1:] == rows[:, :-1]).all(axis=2).any(axis=1)
+    verts = np.flatnonzero(inc.any(axis=1))
+    u, v = verts[np.array(np.triu_indices(0 if ordered else len(verts), 1))]
+    shared = inc[u] & inc[v]
+    rows = np.concatenate([inc[u] ^ inc[v], shared], axis=1)[shared.any(axis=1)]
+    rows = rows[np.lexsort([*rows.T, np.bitwise_count(rows[:, : inc.shape[1]]).sum(axis=1)])]
+    return np.split(rows[np.diff(rows, axis=0, prepend=~rows[:1]).any(axis=1)], 2, axis=1)
+
+
+def _support_twins(picks: np.ndarray, inc: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Per set of picked edges (a row of int64 words): its support size,
+    and whether it has support twins u, v (equal `picks & inc[v]` rows):
+    whether it misses D and meets C of a `_twin_pairs` row.  Rows go one
+    at a time while twin-free picks × rows left exceed `_BLOCK`."""
+    import numpy as np
+    support = sum(((picks & row).any(axis=1) for row in inc), np.zeros(len(picks), dtype=np.int32))
+    (d, c), left, i = pairs, np.arange(len(picks), dtype=np.int32), 0  # picks without twins so far
+    while i < len(d):
+        j = slice(i, i + 1 if left.size * (len(d) - i) > _BLOCK else len(d))  # rows tested now
+        rows, i = picks[left, None], j.stop
+        left = left[((rows & d[j]).any(axis=2) | ~(rows & c[j]).any(axis=2)).all(axis=1)]
+    return support, np.bincount(left, minlength=len(picks)) == 0
 
 
 def _edge_blocks(subsets: _Subsets):
-    """Edge masks from 1 in blocks: masks, support sizes, twins, picks.
-    An edge mask is its own pick, a row of one int64 word."""
+    """Edge masks from 1, each its own pick: masks, sizes, twins, picks, in
+    blocks of `_BLOCK` // 4, as the twin test holds about four words a pick."""
     import numpy as np
-    inc = subsets.incidence()
-    step = max(1, _BLOCK // (subsets.n or 1))
+    inc, step = subsets.incidence(), _BLOCK // 4
+    pairs = _twin_pairs(inc, subsets.ordered)
     for lo in range(1, subsets.full + 1, step):
         picks = np.arange(lo, min(lo + step, subsets.full + 1), dtype=np.int64)[:, None]
-        yield (picks[:, 0], *_support_twins(picks, inc, subsets.ordered), picks)
+        yield (picks[:, 0], *_support_twins(picks, inc, pairs), picks)
 
 
 def _picked_table(inc: np.ndarray, verts: range) -> np.ndarray:
@@ -152,46 +154,53 @@ def _vertex_blocks(subsets: _Subsets):
 
     A vertex mask S picks the edges inside it, one AND of two split
     tables: low[S mod 2^lo] & high[S >> lo].  Its twins are two chosen
-    vertices outside the pick's support, or two support vertices with
-    equal rows, which depends on the pick alone.  That test runs once
-    per run of equal picks, the block's picks sorted by their first
-    word: once per distinct pick when they fit one word.  No sorted copy
-    outlives its step: the yielded picks are the only pick array a block
-    keeps.  The low table and each block's temporaries hold at most
-    `_BLOCK` elements, and the high table 2^(n - lo) rows.
+    vertices outside the pick's support, or support twins of the pick.
+    Blocks repeat few picks, so with 2^m <= `_BLOCK` edge masks the twin
+    test tables every one and blocks index it by pick, else it runs per
+    distinct pick of a block.  Tables and block temporaries hold at most
+    `_BLOCK` elements, the high table 2^(n - lo) rows.
     """
     import numpy as np
     inc = subsets.incidence()
-    n, words = inc.shape
+    (n, words), m = inc.shape, len(subsets.edges)
     lo = min(n, (_BLOCK // (n * words or 1)).bit_length() - 1)
     low, high = _picked_table(inc, range(lo)), _picked_table(inc, range(lo, n))
     low_size = np.bitwise_count(np.arange(1 << lo, dtype=np.int64))
+    pairs = _twin_pairs(inc, subsets.ordered)
+    table = _support_twins(np.arange(1 << m)[:, None], inc, pairs) if 1 << m <= _BLOCK else None
     for hi in range(len(high)):
         picks = high[hi] & low
-        order = np.argsort(picks[:, 0])
-        first = np.ones(len(picks), dtype=bool)  # first of a run of equal sorted picks
-        first[1:] = (np.diff(picks[order], axis=0) != 0).any(axis=1)
-        distinct = np.empty(len(picks), dtype=np.intp)
-        distinct[order] = np.cumsum(first) - 1
-        support, twins = _support_twins(picks[order[first]], inc, subsets.ordered)
+        uniq, at = (None, picks[:, 0]) if table else np.unique(picks, axis=0, return_inverse=True)
+        support, twins = table or _support_twins(uniq, inc, pairs)
         size = low_size + hi.bit_count()
-        twins = (size - support[distinct] >= 2) | twins[distinct]
+        twins = (size - support[at] >= 2) | twins[at]
         yield np.arange(hi << lo, (hi + 1) << lo, dtype=np.int64), size, twins, picks
 
 
-def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per transposition (a b) of two vertices that lie in edges, three
-    rows over the edges meeting a, then those meeting b, padded with the
-    never-picked index m: those edges, their images under the swap (m
-    when an image is no edge), and whether each contains a.
+def _swap_candidates(picks: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Per pair of the vertices that lie in edges, whether their swap may
+    fix a pick: a fixing swap (a b) maps the picked edges at a onto those
+    at b, with a in the support.  Chunks of `_BLOCK` pick × pair cells."""
+    import numpy as np
+    inc = inc[inc.any(axis=1)]
+    found, step = np.zeros((len(inc),) * 2, dtype=bool), max(1, _BLOCK // (len(inc) ** 2 or 1))
+    for lo in range(0, len(picks), step):
+        degree = np.bitwise_count(picks[lo : lo + step, None, :] & inc).sum(axis=2)
+        found |= ((degree[:, :, None] == degree[:, None, :]) & (degree[:, :, None] > 0)).any(axis=0)
+    return found
 
-    Tuples are swapped position by position; unordered edges are sorted
-    after the swap.  Images are found among the edges by sorting all
-    the rows together and numbering the runs of equal rows.
+
+def _swap_tables(n: int, edges, ordered: bool, keep=None) -> tuple[np.ndarray, ...]:
+    """Per transposition (a b) of two vertices that lie in edges, the
+    i-th and j-th such with keep[i, j] if given: three rows over the
+    edges meeting a, then b, padded with the never-picked index m:
+    those edges, their images under the swap (m for no edge), and
+    whether each contains a.  Tuples swap position by position, and
+    unordered edges are sorted after the swap.  Images are found by
+    sorting all rows together and numbering the runs of equal rows.
     """
     import numpy as np
-    m = len(edges)
-    dtype = np.min_scalar_type(n)
+    m, dtype = len(edges), np.min_scalar_type(n)
     rows = np.full((m + 1, max([1, *map(len, edges)])), n, dtype=dtype)  # n pads, sorts last
     for i, e in enumerate(edges):
         rows[i, : len(e)] = e
@@ -200,7 +209,7 @@ def _swap_tables(n: int, edges, ordered: bool) -> tuple[np.ndarray, np.ndarray, 
     meets = np.full((len(verts), max(map(len, around), default=0)), m)
     for row, v in zip(meets, verts):
         row[: len(around[v])] = around[v]
-    first, second = np.triu_indices(len(verts), 1)
+    first, second = np.nonzero(np.triu(np.ones((len(verts),) * 2) if keep is None else keep, 1))
     src = np.concatenate([meets[first], meets[second]], axis=1)
     a, b = (np.array(verts, dtype=dtype)[side, None, None] for side in (first, second))
     image = rows[src]
@@ -246,29 +255,26 @@ def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
 
     Every non-empty edge subset counts as checked (2^m - 1 in all), as
     it stands for its vertex extensions; vertex subsets count only in
-    scope (2^n - n - 2 in all).  A block of masks comes with each
-    mask's chosen-vertex count, twin verdict and pick.  An edge mask is
-    its own pick (`_edge_blocks`); a vertex mask's pick is one AND of
-    two split tables, and the twin test runs once per distinct pick of
-    its block (`_vertex_blocks`).  Twins swap, an involution.  The
-    in-scope masks without twins next meet the transposition test on
-    their picks (`_swap_fixed`, over tables built on the first block
-    that needs them), and only masks with no fixing swap reach
-    `subsets.test`.  A swap is an involution too, so no skipped mask
-    is a violation.
+    scope (2^n - n - 2 in all).  Blocks of masks come with each mask's
+    chosen-vertex count, twin verdict and pick; twins swap.  In-scope
+    masks without twins next meet `_swap_fixed` over the swaps that may
+    fix one of them, and only those no swap fixes reach `subsets.test`.
+    A swap is an involution too, so no skipped mask is a violation.
     """
     import numpy as np
     n, m, kind = subsets.n, len(subsets.edges), subsets.kind
     if not kind.induced and m > _WORD:
         raise ResourceGuardError(f"exhaustive scan over 2^{m} edge subsets refused")
-    checked, tables = 0, None
+    checked, inc, keep = 0, subsets.incidence(), None
     for masks, size, twins, picks in (_vertex_blocks if kind.induced else _edge_blocks)(subsets):
         in_scope = subsets.in_scope(size, masks)
         counted = in_scope | (not kind.induced)
         survivors = np.flatnonzero(in_scope & ~twins)
         if survivors.size:
-            if tables is None:
-                tables = _swap_tables(n, subsets.edges, subsets.ordered)
+            need = _swap_candidates(picks[survivors], inc)
+            if keep is None or (need & ~keep).any():  # tables over every swap needed so far
+                keep = need if keep is None else need | keep
+                tables = _swap_tables(n, subsets.edges, subsets.ordered, keep)
             survivors = survivors[~_swap_fixed(tables, m, picks[survivors])]
         for i in survivors.tolist():
             if subsets.test(int(masks[i])):
@@ -348,9 +354,7 @@ def _verify(
 
     def finish(holds, checked, witness=""):
         elapsed = int((time.perf_counter() - start) * 1000)
-        return VerificationReport(
-            property_name, holds, mode, checked, used_seed, elapsed, witness
-        )
+        return VerificationReport(property_name, holds, mode, checked, used_seed, elapsed, witness)
 
     bad_perm = subsets.symmetry(n, subsets.edges, ordered)
     if bad_perm is not None:
@@ -383,9 +387,7 @@ def verify_asymmetric(h: Hypergraph) -> VerificationReport:
     bad = find_nonidentity_automorphism(h)
     elapsed = int((time.perf_counter() - start) * 1000)
     witness = "" if bad is None else to_hgf(h) + perm_line(bad)
-    return VerificationReport(
-        "asymmetric", bad is None, "exhaustive", 0, 0, elapsed, witness
-    )
+    return VerificationReport("asymmetric", bad is None, "exhaustive", 0, 0, elapsed, witness)
 
 
 def verify_strongly_minimal(
@@ -422,9 +424,7 @@ def verify_minimal_involution_free(
     those on 1 < n' < n vertices must admit an involution.
     """
     kind = "invfree-nontrivial" if nontrivial_only else "invfree"
-    return _verify_hypergraph(
-        h, "minimal-involution-free", kind, mode, samples, seed, stratified
-    )
+    return _verify_hypergraph(h, "minimal-involution-free", kind, mode, samples, seed, stratified)
 
 
 def verify_minimal_asymmetric(h: Hypergraph, workers: int = 1) -> VerificationReport:

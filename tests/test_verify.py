@@ -338,6 +338,72 @@ def test_induced_rel_r3t_reaches_the_engine_once(monkeypatch):
     assert len(tested) <= 1, len(tested)
 
 
+@pytest.mark.parametrize(
+    "family,params,kind,samples",
+    [
+        ("gkt-circ", (3, 5), "strong", 2**16 - 1),
+        ("gkt-circ", (4, 3), "strong", 2**16 - 1),
+        *(("gk-star", (k,), "invfree-nontrivial", 2 ** (k + 1) - 1) for k in range(8, 12)),
+        ("gkt-circ", (3, 3), "induced", 524_267),
+        ("r3t", (2,), "induced-rel", 8_177),
+    ],
+)
+def test_certificate_scans_reach_the_engine_once(monkeypatch, family, params, kind, samples):
+    """The certificates of the benchmark's certify workload: the twin and
+    swap sieves settle every mask but one, which the engine decides."""
+    structure = {"gkt-circ": gen_gkt_circ, "gk-star": gen_gk_star, "r3t": gen_r3t}[family](*params)
+    verify = {
+        "strong": lambda s: verify_strongly_minimal(s, mode="exhaustive"),
+        "invfree-nontrivial": lambda s: verify_minimal_involution_free(
+            s, mode="exhaustive", nontrivial_only=True
+        ),
+        "induced": verify_minimal_asymmetric,
+        "induced-rel": verify_minimal_asymmetric_rel,
+    }[kind]
+    tested = _tested_masks(monkeypatch)
+    rep = verify(structure)
+    assert (rep.holds, rep.samples) == (True, samples)
+    assert len(tested) == 1, len(tested)
+
+
+def test_swap_tables_hold_only_swaps_that_may_fix_a_survivor(monkeypatch):
+    """A swap (a b) fixes a pick only if a is in its support and as many
+    picked edges meet a as b: tables over those swaps fix the same picks
+    as tables over all, and the gk-star certificates keep k - 1 swaps."""
+    rng = random.Random(12)
+    fixed = dropped = 0
+    for _ in range(300):
+        n, ordered = rng.randrange(4, 9), rng.random() < 0.5
+        edges = _seeded(rng, n, rng.randrange(1, 10), ordered, 2)
+        picks = np.array([[rng.getrandbits(len(edges))] for _ in range(2)], dtype=np.int64)
+        inc = verify_mod._Subsets(n, edges, ordered, "strong").incidence()
+        keep = verify_mod._swap_candidates(picks, inc)
+        every, kept = (
+            verify_mod._swap_fixed(tables, len(edges), picks)
+            for tables in (
+                verify_mod._swap_tables(n, edges, ordered),
+                verify_mod._swap_tables(n, edges, ordered, keep),
+            )
+        )
+        assert (every == kept).all(), (n, edges, ordered)
+        fixed += int(every.sum())
+        dropped += int((~keep)[np.triu_indices(len(keep), 1)].sum())
+    assert fixed >= 200 and dropped >= 1000, (fixed, dropped)
+    built = []  # (swaps in the tables, all swaps) per build
+    build = verify_mod._swap_tables
+
+    def recording(n, edges, ordered, keep=None):
+        built.append((int(np.triu(keep, 1).sum()), len(keep) * (len(keep) - 1) // 2))
+        return build(n, edges, ordered, keep)
+
+    monkeypatch.setattr(verify_mod, "_swap_tables", recording)
+    for k in range(8, 12):
+        built.clear()
+        h = gen_gk_star(k)
+        assert verify_minimal_involution_free(h, mode="exhaustive", nontrivial_only=True).holds
+        assert built == [(k - 1, (2 * k) * (2 * k - 1) // 2)], built
+
+
 def test_swap_sieve_chunks_its_temporaries(monkeypatch):
     """Over a thousand masks of one block survive the twin sieve, but
     the swap sieve takes them in chunks: the scan's peak stays below
@@ -411,6 +477,61 @@ def test_multi_block_induced_scans_match_the_ascending_loop():
                 if anchored and bad is not None:
                     assert bad >= step
     assert min(outcomes.values()) >= 2, outcomes
+
+
+def _wide_four_graph():
+    """The 4-graph on 10 vertices over two to four words of edges of
+    `test_twin_sieve_scan_matches_the_ascending_loop`."""
+    pool = list(itertools.combinations(range(10), 4))
+    rng = random.Random(9)
+    return Hypergraph(10, rng.sample(pool, rng.randrange(63, len(pool))), k=4)
+
+
+def _seeded(rng, n, m, ordered, arity=3):
+    """m distinct seeded edges on n vertices: tuples of `arity` points
+    (a point may repeat) when ordered, else sets of 2 or 3 vertices."""
+    if ordered:
+        pool = list(itertools.product(range(n), repeat=arity))
+    else:
+        pool = [e for size in (2, 3) for e in itertools.combinations(range(n), size)]
+    return sorted(rng.sample(pool, m))
+
+
+def test_block_verdicts_match_the_twin_swap_on_every_mask():
+    """Every mask's (size, twins) from the scan blocks against a twin swap
+    of its sub-structure (an edge mask's is on its support): edge scans
+    in one and in two blocks, induced scans over m <= 16 edges (one
+    verdict table) and over more (distinct picks per block), over one
+    and over several int64 words of edges."""
+    rng = random.Random(38)
+    cases = [
+        (9, _seeded(rng, 9, 12, False), False, "strong"),
+        (6, _seeded(rng, 6, 17, False), False, "strong"),  # 2^17 - 1 masks, two blocks
+        (6, _seeded(rng, 6, 12, True, 2), True, "invfree"),
+        (12, _seeded(rng, 12, 14, False), False, "induced"),  # verdict table
+        (11, _seeded(rng, 11, 16, True, 2), True, "induced"),
+        (14, _seeded(rng, 14, 30, False), False, "induced"),  # distinct picks, four blocks
+        (10, _seeded(rng, 10, 40, True, 2), True, "induced"),
+        (9, _seeded(rng, 9, 70, True), True, "induced"),  # two words
+        (10, _seventy_five_edges().edges, False, "induced"),  # two words
+        (10, _wide_four_graph().edges, False, "induced"),  # mask 254: agree on word 0 only
+    ]
+    for n, edges, ordered, kind in cases:
+        subsets = verify_mod._Subsets(n, edges, ordered, kind)
+        blocks = verify_mod._vertex_blocks if subsets.kind.induced else verify_mod._edge_blocks
+        masks, size, twins, _ = (np.concatenate(part) for part in zip(*blocks(subsets)))
+        first = 0 if subsets.kind.induced else 1
+        assert (masks == np.arange(first, subsets.full + 1)).all()
+        expected_size, expected_twins = [], []
+        for mask in range(first, subsets.full + 1):
+            _, sub_n, sub_edges = subsets.sub(*subsets.pick(mask))
+            expected_size.append(sub_n)
+            inc = autom_mod._incidence(sub_n, sub_edges, ordered)
+            expected_twins.append(autom_mod._twin_swap(inc) is not None)
+        assert size.tolist() == expected_size, (n, edges, ordered)
+        assert twins.tolist() == expected_twins, (n, edges, ordered)
+        # both verdicts occur, except in ordered edge scans, which have no twins
+        assert set(expected_twins) == ({False} if ordered and kind != "induced" else {False, True})
 
 
 def test_induced_scan_adds_no_full_space_temporary():
