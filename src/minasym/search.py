@@ -12,18 +12,18 @@ It grows levels 0..C/2 only; each level m above is level C - m
 complemented.  Every class it yields carries its asymmetry verdict.
 
 A labeled class's representative is its least edge mask, edges in
-`combinations` order, not the engine's canonical form: no engine runs on
-the labeled path, and `_scan_labeled` reads its witness, the first
-asymmetric minimum, off the same census.  Only the labeled census
-(`_orbits`, `_Remap`) imports numpy, inside its functions: it is most of
-the package's import cost, and augmentation never needs it.
+`combinations` order, not the engine's canonical form.  No engine runs on
+the labeled path: `_scan_labeled` stops at the first mask that no
+non-identity vertex permutation fixes.  Only the labeled paths (`_orbits`,
+`_Remap`, `_first_rigid`) import numpy, inside their functions: it is most
+of the package's import cost, and augmentation never needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .autom import _Engine, _record_asymmetry, _recorded_asymmetry, structure_engine
@@ -107,23 +107,54 @@ def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
 
 
 def _scan_labeled(k: int, n: int, half: bool) -> tuple[int, Optional[int], int]:
-    """The first asymmetric labeled edge set in ascending mask order.
+    """(scanned, the first asymmetric mask or None, the space size) of a
+    labeled scan in ascending mask order: `scanned` counts the masks of
+    the scanned space through that mask, or all of them.  With `half`,
+    masks with more than C/2 edges are skipped: complementing within the
+    k-subsets keeps the group, so the scanned half covers the other.
+    Popcount cells take the least mask of the first such class of their census."""
+    edges = _edge_space(n, k)
+    total, most = 1 << len(edges), len(edges) // 2 if half else len(edges)
+    if k == 1 or k >= n - 1:
+        bad = next((m for m, asym in _orbits(k, n) if asym and m.bit_count() <= most), None)
+    else:
+        bad = _first_rigid(n, edges, most)
+    return _counted_before(total if bad is None else bad + 1, half, most), bad, total
 
-    Returns (scanned, first asymmetric mask or None, total space size),
-    where `scanned` counts the masks of the scanned space from 0 through
-    that mask, or all of them when there is none.  A mask is asymmetric when its orbit
-    has n! masks.  The first asymmetric mask is an orbit minimum, as its
-    orbit's minimum is asymmetric too, so it is read off the census.
-    With `half` set, masks with more than C/2 edges are skipped; the
-    edge-set complement within the full k-subset family preserves the
-    automorphism group, so the skipped half is covered by the scanned
-    one.  Popcount is constant on an orbit, so the skip acts on classes.
-    """
-    census, c = _orbits(k, n), math.comb(n, k)
-    total, limit = 1 << c, c // 2
-    found = (m for m, asym in census if asym and (not half or m.bit_count() <= limit))
-    bad = next(found, None)
-    return _counted_before(total if bad is None else bad + 1, half, limit), bad, total
+
+def _first_rigid(n: int, edges: Sequence[tuple[int, ...]], most: int) -> Optional[int]:
+    """The least mask of at most `most` edges that no non-identity vertex
+    permutation fixes, or None, for 2 <= k <= n - 2: so n <= 7 under the
+    guard, as C(n, k) >= C(n, 2) > 24 past it.  Masks go in ascending
+    blocks of 512, small as each asymmetric mask of a block meets every
+    permutation; a candidate covers n - 1 vertices, as two isolated ones
+    swap.  Permutations go in chunks, fewest points moved first: a chunk's
+    images of the candidates are one float64 product of their edge bits
+    and the weights 2^(image edge), exact below 2^24."""
+    import numpy as np
+    c = len(edges)
+    cols = np.array(edges, dtype=np.uint8).T
+    index = np.zeros(1 << n, dtype=np.int8)  # edge index by vertex-set bitmask
+    index[[sum(1 << v for v in e) for e in edges]] = np.arange(c)
+    perms = np.fromiter(permutations(range(n)), dtype=(np.uint8, n))[1:]  # the identity is first
+    points = 1 << perms[np.argsort((perms != np.arange(n)).sum(axis=1), kind="stable")]
+    inc = [sum(1 << i for i, e in enumerate(edges) if v in e) for v in range(n)]
+    block, shifts = min(1 << c, _CHUNK // 128), np.arange(c, dtype=np.int32)
+    for lo in range(0, 1 << c, block):  # temporaries of at most `_CHUNK` cells
+        masks = np.arange(lo, lo + block, dtype=np.int32)
+        covered = sum(((masks & b) != 0 for b in inc), np.zeros(block, dtype=np.int8))
+        cands = masks[(covered >= n - 1) & (np.bitwise_count(masks) <= most)]
+        bits, at = (cands[:, None] >> shifts & 1).astype(np.float64), 0
+        while cands.size and at < len(points):
+            chunk = points[at : (at := at + _CHUNK // max(cands.size, c))]
+            image = chunk[:, cols[0]]  # the vertex bits of each edge's image
+            for col in cols[1:]:
+                image |= chunk[:, col]
+            fixed = (bits @ np.ldexp(1.0, index[image]).T == cands[:, None]).any(axis=1)
+            cands, bits = cands[~fixed], bits[~fixed]
+        if cands.size:
+            return int(cands[0])
+    return None
 
 
 def _counted_before(end: int, half: bool, limit: int) -> int:
@@ -137,10 +168,9 @@ def _counted_before(end: int, half: bool, limit: int) -> int:
 
 def verify_lemma_all_symmetric(k: int, n: int, half: bool = False) -> LemmaScan:
     """Does every labeled k-graph on n vertices have a non-identity
-    automorphism?  Answered from the orbit census of the whole labeled
-    space; `scanned` counts the masks from 0 through the first
-    asymmetric one, or all of them (with `half`, those with at most
-    C(n,k)/2 edges)."""
+    automorphism?  The scan stops at the first asymmetric mask; `scanned`
+    counts the masks from 0 through it, or all of them (with `half`,
+    those with at most C(n,k)/2 edges)."""
     scanned, bad, total = _scan_labeled(k, n, half)
     witness = None if bad is None else _mask_graph(n, k, _edge_space(n, k), bad)
     return LemmaScan(k, n, total, scanned, bad is None, witness)

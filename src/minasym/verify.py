@@ -272,9 +272,11 @@ def _scan(subsets: _Subsets) -> tuple[Optional[int], int]:
         survivors = np.flatnonzero(in_scope & ~twins)
         if survivors.size:
             need = _swap_candidates(picks[survivors], inc)
-            if keep is None or (need & ~keep).any():  # tables over every swap needed so far
+            new = need if keep is None else need & ~keep  # swaps the tables lack
+            if keep is None or new.any():  # their rows are appended
+                more = _swap_tables(n, subsets.edges, subsets.ordered, new)
+                tables = more if keep is None else tuple(map(np.concatenate, zip(tables, more)))
                 keep = need if keep is None else need | keep
-                tables = _swap_tables(n, subsets.edges, subsets.ordered, keep)
             survivors = survivors[~_swap_fixed(tables, m, picks[survivors])]
         for i in survivors.tolist():
             if subsets.test(int(masks[i])):

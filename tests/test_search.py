@@ -321,6 +321,41 @@ def test_popcount_cells_allocate_no_mask_array():
     assert scan.all_symmetric and scan.scanned == 1 << 24
 
 
+_RIGID_CELLS = [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (4, 6), (2, 7), (5, 7)]
+
+
+@pytest.mark.parametrize("k, n", _RIGID_CELLS, ids=[f"{k}-{n}" for k, n in _RIGID_CELLS])
+def test_stabilizer_scan_matches_the_census(k, n):
+    """Every cell with 2 <= k <= n - 2 under the guard: the scan's
+    witness is the first asymmetric orbit minimum of the census (within
+    the popcount limit with `half`), and `scanned` counts the masks of
+    the scanned space from 0 through it, or all of them."""
+    census, c = search_mod._orbits(k, n), math.comb(n, k)
+    for half in (False, True):
+        most = c // 2 if half else c
+        first = next((m for m, asym in census if asym and m.bit_count() <= most), None)
+        end = (1 << c) if first is None else first + 1
+        scanned, bad, total = search_mod._scan_labeled(k, n, half)
+        assert (bad, total) == (first, 1 << c), (k, n, half)
+        assert scanned == sum(1 for m in range(end) if m.bit_count() <= most), (k, n, half)
+
+
+def test_labeled_scans_build_no_engine_and_no_full_space_array(monkeypatch):
+    """The (2,7) and (5,7) census peaked at 9.5 MiB of `tracemalloc`:
+    a scan that stops at its witness holds block-sized arrays only."""
+
+    def no_engine(self, *args, **kwargs):
+        raise AssertionError("engine built on the labeled path")
+
+    monkeypatch.setattr(autom_mod._Engine, "__init__", no_engine)
+    assert min_asymmetric_order(3, 7)[0] == 6
+    assert not verify_lemma_all_symmetric(2, 7).all_symmetric
+    for k in (2, 5):
+        scan, peak = _traced_peak(lambda: verify_lemma_all_symmetric(k, 7))
+        assert scan.scanned == {2: 2391, 5: 1199}[k], (k, scan.scanned)
+        assert peak < 4 << 20, (k, peak)
+
+
 def test_augmentation_is_duplicate_free():
     total = 0
     for _, layer in classes_by_edge_count(6, 2):

@@ -404,6 +404,25 @@ def test_swap_tables_hold_only_swaps_that_may_fix_a_survivor(monkeypatch):
         assert built == [(k - 1, (2 * k) * (2 * k - 1) // 2)], built
 
 
+def test_later_blocks_append_only_the_swaps_the_tables_lack(monkeypatch):
+    """The r3t(2) certificate's survivors lie in both of its blocks: the
+    first builds tables over 66 swaps, the second over the 12 of all 78
+    that it needs and they lack, appended to the first's rows."""
+    built = []  # (swaps in the tables, all swaps) per build
+    build = verify_mod._swap_tables
+
+    def recording(n, edges, ordered, keep=None):
+        built.append((int(np.triu(keep, 1).sum()), len(keep) * (len(keep) - 1) // 2))
+        return build(n, edges, ordered, keep)
+
+    monkeypatch.setattr(verify_mod, "_swap_tables", recording)
+    tested = _tested_masks(monkeypatch)
+    rep = verify_minimal_asymmetric_rel(gen_r3t(2))
+    assert (rep.holds, rep.samples) == (True, 2**13 - 15)
+    assert built == [(66, 78), (12, 78)], built
+    assert len(tested) == 1, len(tested)
+
+
 def test_swap_sieve_chunks_its_temporaries(monkeypatch):
     """Over a thousand masks of one block survive the twin sieve, but
     the swap sieve takes them in chunks: the scan's peak stays below
