@@ -69,14 +69,8 @@ class _Engine:
     elsewhere in the cell.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: Sequence[tuple[int, ...]],
-        ordered: bool,
-        pinned: Optional[frozenset[int]] = None,
-        inc: Optional[list[tuple]] = None,
-    ):
+    def __init__(self, n: int, edges: Sequence[tuple[int, ...]], ordered: bool,
+                 pinned: Optional[frozenset[int]] = None, inc: Optional[list[tuple]] = None):
         self.n = n
         self.edges = tuple(edges)
         self.m = len(self.edges)
@@ -135,26 +129,26 @@ class _Engine:
         queued = {start << 1 | side for side, start in queue}  # the cells in the queue
         for side, start in queue:  # the loop reads the entries it appends
             queued.discard(start << 1 | side)
-            members = orders[side][start:start + sizes[side][start]]
             other = 1 - side
             col, order, size = cols[other], orders[other], sizes[other]
-            single = len(members) == 1 and not self.ordered
+            count = sizes[side][start]
+            single = count == 1 and not self.ordered
             if single:  # an unordered singleton meets each neighbour once
-                key = near[side][members[0]]
+                key = near[side][orders[side][start]]
             elif self.ordered:
                 meets: dict = {}
-                for x in members:
+                for x in orders[side][start:start + count]:
                     for y, pos in near[side][x]:
                         meets.setdefault(y, []).append(pos)
                 key, missing = {y: tuple(sorted(p)) for y, p in meets.items()}, ()
             else:
-                key, missing = Counter(chain.from_iterable(map(near[side].__getitem__, members))), 0
+                around = map(near[side].__getitem__, orders[side][start:start + count])
+                key, missing = Counter(chain.from_iterable(around)), 0
             touched: dict[int, list[int]] = {}
             for y in key:
-                c = col[y]
-                if size[c] > 1:
+                if size[c := col[y]] > 1:
                     touched.setdefault(c, []).append(y)
-            for c in sorted(touched):
+            for c in sorted(touched) if len(touched) > 1 else touched:
                 hit, total = touched[c], size[c]
                 if single:
                     cut = c + total - len(hit)
@@ -222,7 +216,7 @@ class _Engine:
         es = self.edge_set
         if self.ordered:
             return all(tuple(perm[v] for v in e) in es for e in self.edges)
-        return all(tuple(sorted(perm[v] for v in e)) in es for e in self.edges)
+        return all(tuple(sorted(map(perm.__getitem__, e))) in es for e in self.edges)
 
     # -- searches ---------------------------------------------------
 
@@ -426,8 +420,7 @@ def _incidence(n: int, edges: Sequence[tuple[int, ...]], ordered: bool) -> list[
 
 
 def _orbit_of(point: int, gens: Sequence[Perm]) -> set[int]:
-    orbit = {point}
-    queue = [point]
+    orbit, queue = {point}, [point]
     while queue:
         p = queue.pop()
         for g in gens:
@@ -518,13 +511,9 @@ def _stabilizer_chain(gens: Sequence[Perm], n: int):
 # -- public hypergraph API --------------------------------------------
 
 
-def structure_engine(
-    n: int,
-    edges: Sequence[tuple[int, ...]],
-    ordered: bool,
-    stabilize: Optional[Sequence[int]] = None,
-    inc: Optional[list[tuple]] = None,
-) -> _Engine:
+def structure_engine(n: int, edges: Sequence[tuple[int, ...]], ordered: bool,
+                     stabilize: Optional[Sequence[int]] = None,
+                     inc: Optional[list[tuple]] = None) -> _Engine:
     """The engine of a raw structure; `inc`, if given, is its
     `_incidence` list, built once by the caller."""
     return _Engine(n, edges, ordered, _pinned(n, stabilize), inc)

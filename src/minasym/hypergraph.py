@@ -19,12 +19,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
     k: Optional[int] = None
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Iterable[int]] = (),
-        k: Optional[int] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Iterable[int]] = (), k: Optional[int] = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         normalized = set()
@@ -46,9 +41,7 @@ class Hypergraph:
                 raise ValueError(f"edges of size {sizes} under uniformity tag {k}")
         elif len(sizes) == 1:
             k = next(iter(sizes))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edge_tuple)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(n=n, edges=edge_tuple, k=k)
 
     @property
     def m(self) -> int:
@@ -56,6 +49,13 @@ class Hypergraph:
 
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
+
+
+def _unchecked(n: int, edges: tuple[tuple[int, ...], ...], k: Optional[int]) -> Hypergraph:
+    """The Hypergraph of sorted, distinct, in-range k-uniform edges, without `__init__`'s checks."""
+    h = object.__new__(Hypergraph)
+    h.__dict__.update(n=n, edges=edges, k=k)
+    return h
 
 
 def degree(h: Hypergraph, v: int) -> int:

@@ -7,9 +7,9 @@ is an asymmetric class, and canonical augmentation growing one edge at a
 time.  Their class counts must agree; tests enforce it.  Augmentation
 keeps a child when its added edge lies in the orbit of the canonical
 deletion, picked by endpoint degrees, then refined edge colours, then
-the canonical labelling, which runs only on the children that tie twice.
-It grows levels 0..C/2 only; each level m above is level C - m
-complemented.  Every class it yields carries its asymmetry verdict.
+the canonical labelling, which runs only on a tie spanning several edge
+orbits of the child.  It grows levels 0..C/2 only; each level m above is
+level C - m complemented.  Every class it yields carries its verdict.
 
 A labeled class's representative is its least edge mask, edges in
 `combinations` order, not the engine's canonical form.  No engine runs on
@@ -23,17 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, filterfalse, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .autom import _Engine, _record_asymmetry, _recorded_asymmetry, structure_engine
+from .autom import _Engine, _incidence, _record_asymmetry, _recorded_asymmetry, structure_engine
 from .errors import ResourceGuardError
-from .hypergraph import Hypergraph, degrees
+from .hypergraph import Hypergraph, _unchecked
 from .perms import Perm, transposition
 from .verify import verify_minimal_asymmetric
 
 _BIT_LIMIT = 24
 _CHUNK = 1 << 16
+_POINTS: dict = {}  # per n, `_first_rigid`'s table of permutations
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,7 @@ def _edge_space(n: int, k: int) -> list[tuple[int, ...]]:
     _edge_size(k)
     c = math.comb(n, k)
     if c > _BIT_LIMIT:
-        raise ResourceGuardError(
-            f"edge space C({n},{k}) = {c} exceeds the {_BIT_LIMIT}-bit scan guard"
-        )
+        raise ResourceGuardError(f"edge space C({n},{k}) = {c} exceeds the {_BIT_LIMIT}-bit scan guard")
     return list(combinations(range(n), k))
 
 
@@ -102,8 +101,7 @@ class _Remap:
 
 
 def _mask_graph(n: int, k: int, edges, mask: int) -> Hypergraph:
-    chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-    return Hypergraph(n, chosen, k=k)
+    return _unchecked(n, tuple(e for i, e in enumerate(edges) if mask >> i & 1), k)
 
 
 def _scan_labeled(k: int, n: int, half: bool) -> tuple[int, Optional[int], int]:
@@ -128,16 +126,19 @@ def _first_rigid(n: int, edges: Sequence[tuple[int, ...]], most: int) -> Optiona
     guard, as C(n, k) >= C(n, 2) > 24 past it.  Masks go in ascending
     blocks of 512, small as each asymmetric mask of a block meets every
     permutation; a candidate covers n - 1 vertices, as two isolated ones
-    swap.  Permutations go in chunks, fewest points moved first: a chunk's
-    images of the candidates are one float64 product of their edge bits
-    and the weights 2^(image edge), exact below 2^24."""
+    swap.  Permutations go in chunks, fewest points moved first, from a
+    table built once per n: a chunk's images of the candidates are one
+    float64 product of their edge bits and the weights 2^(image edge),
+    exact below 2^24."""
     import numpy as np
     c = len(edges)
     cols = np.array(edges, dtype=np.uint8).T
     index = np.zeros(1 << n, dtype=np.int8)  # edge index by vertex-set bitmask
     index[[sum(1 << v for v in e) for e in edges]] = np.arange(c)
-    perms = np.fromiter(permutations(range(n)), dtype=(np.uint8, n))[1:]  # the identity is first
-    points = 1 << perms[np.argsort((perms != np.arange(n)).sum(axis=1), kind="stable")]
+    if (points := _POINTS.get(n)) is None:  # at most 5,039 rows of n bytes, shared, so read-only
+        perms = np.fromiter(permutations(range(n)), dtype=(np.uint8, n))[1:]  # the identity is first
+        points = _POINTS[n] = 1 << perms[np.argsort((perms != np.arange(n)).sum(axis=1), kind="stable")]
+        points.flags.writeable = False
     inc = [sum(1 << i for i, e in enumerate(edges) if v in e) for v in range(n)]
     block, shifts = min(1 << c, _CHUNK // 128), np.arange(c, dtype=np.int32)
     for lo in range(0, 1 << c, block):  # temporaries of at most `_CHUNK` cells
@@ -261,67 +262,77 @@ def scan_classes(k: int, n: int) -> SearchOutcome:
     )
 
 
-def _edge_orbit(
-    edge: tuple[int, ...], gens: Sequence[Perm]
-) -> set[tuple[int, ...]]:
-    orbit = {edge}
-    queue = [edge]
+def _edge_orbit(edge: tuple[int, ...], gens: Sequence[Perm]) -> set[tuple[int, ...]]:
+    orbit, queue = {edge}, [edge]
     while queue:
         e = queue.pop()
         for g in gens:
-            img = tuple(sorted(g[v] for v in e))
+            img = tuple(sorted(map(g.__getitem__, e)))
             if img not in orbit:
                 orbit.add(img)
                 queue.append(img)
     return orbit
 
 
-def _augmentation_accepts(
-    parent: Hypergraph, added: tuple[int, ...], deg: Sequence[int]
-) -> tuple[bool, Optional[_Engine]]:
+def _scored(parent: Hypergraph) -> tuple[list[int], list[tuple], list[list[int]]]:
+    """The parent's vertex degrees, `_incidence` lists and per edge its
+    sorted endpoint degrees: what its children's step 1 reads."""
+    inc = _incidence(parent.n, parent.edges, False)
+    deg = list(map(len, inc))
+    return deg, inc, [sorted(map(deg.__getitem__, e)) for e in parent.edges]
+
+
+def _augmentation_accepts(parent: Hypergraph, added: tuple[int, ...],
+                          scored: tuple) -> tuple[bool, Optional[_Engine]]:
     """Canonical-deletion test for the child `parent` + `added`, where
-    `deg` holds the parent's vertex degrees: (accepted, the child's
-    engine if the test built one and accepted the child, else None).
+    `scored` is `_scored(parent)`: (accepted, the child's engine if the
+    test built one and accepted the child, else None).
 
     The canonical deletion is picked in three isomorphism-invariant
     steps, each narrowing a kept set of the child's edges:
     1. the edges with the largest sorted tuple of endpoint degrees,
-       read off `deg` and `added` before the child is built;
+       re-scored only where `added` meets them, before the child is built;
     2. the edges with the largest refined colour of the child's engine
-       (`base[1]`: an edge's colour is the start of its cell in the
-       equitable partition that refinement reaches from a uniform
-       colouring by isomorphism-invariant steps, so isomorphic children
-       colour alike);
-    3. the edge with the largest image under the canonical labelling.
+       (`base[1]`, the start of the edge's cell in the equitable partition
+       that refinement reaches by isomorphism-invariant steps);
+    3. the edge with the largest image under the canonical labelling,
+       run only when the kept edges, a union of orbits of the child's
+       group, span several: labellings that differ by an automorphism
+       pick edges of one orbit.
     The child is rejected as soon as `added` leaves the kept set and
     accepted as soon as it is the only edge left; after step 3 it must
     lie in the automorphism orbit of the chosen edge (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 1998).
     """
-    edges = parent.edges + (added,)
-    last = len(edges) - 1
-    child_deg = list(deg)
+    deg, inc, scores = scored
+    edges, last = parent.edges + (added,), parent.m
+    child_deg = deg[:]
     for v in added:
         child_deg[v] += 1
-    kept = _best(range(len(edges)), lambda i: sorted(map(child_deg.__getitem__, edges[i])))
+    scores = scores + [sorted(map(child_deg.__getitem__, added))]
+    for v in added:
+        for i in inc[v]:
+            scores[i] = sorted(map(child_deg.__getitem__, edges[i]))
+    kept = _best(range(len(edges)), scores)
     if kept[-1] != last or len(kept) == 1:
         return kept == [last], None
     engine = structure_engine(parent.n, edges, False)
-    kept = _best(kept, engine.base[1].__getitem__)
+    kept = _best(kept, engine.base[1])
     if kept[-1] != last or len(kept) == 1:
         accepted = kept == [last]
     else:
-        _, sigma = engine.canonical()
-        deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
-        accepted = deletion == added or deletion in _edge_orbit(added, engine.generators())
+        orbit, kept = _edge_orbit(added, engine.generators()), [edges[i] for i in kept]
+        accepted = orbit.issuperset(kept)
+        if not accepted:  # a tie across orbits: the edge the labelling maps highest
+            _, sigma = engine.canonical()
+            accepted = max(kept, key=lambda e: sorted(map(sigma.__getitem__, e))) in orbit
     return accepted, engine if accepted else None
 
 
-def _best(kept: Iterable[int], score) -> list[int]:
+def _best(kept: Iterable[int], scores: Sequence) -> list[int]:
     """The indices in `kept`, ascending, whose score is the largest."""
-    scores = {i: score(i) for i in kept}
-    top = max(scores.values())
-    return [i for i, s in scores.items() if s == top]
+    top = max(scores[i] for i in kept)
+    return [i for i in kept if scores[i] == top]
 
 
 def _walked(h: Hypergraph, engine: Optional[_Engine]) -> tuple[Hypergraph, list[Perm]]:
@@ -364,19 +375,19 @@ def classes_by_edge_count(
             break
         grown: list[tuple[Hypergraph, list[Perm]]] = []
         for parent, gens in current:
-            deg = degrees(parent)
+            scored = _scored(parent)
             visited = set(parent.edges)  # the group keeps the non-edges, so skip the edges
             for cand in all_edges:
                 if cand in visited:
                     continue
                 visited |= _edge_orbit(cand, gens)
-                accepted, engine = _augmentation_accepts(parent, cand, deg)
-                if accepted:
-                    grown.append(_walked(Hypergraph(n, parent.edges + (cand,), k=k), engine))
+                accepted, engine = _augmentation_accepts(parent, cand, scored)
+                if accepted:  # sorted, distinct, in-range k-subsets need no checks
+                    grown.append(_walked(_unchecked(n, tuple(sorted(parent.edges + (cand,))), k), engine))
         current = grown
     for m in range(half + 1, top + 1):  # a complement keeps its class's group, so its verdict
-        yield m, [_record_asymmetry(Hypergraph(n, set(all_edges) - h.edge_set(), k=k),
-                                    _recorded_asymmetry(h)) for h in kept.pop(c - m)]
+        yield m, [_record_asymmetry(_unchecked(n, tuple(filterfalse(set(h.edges).__contains__, all_edges)),
+                                               k), _recorded_asymmetry(h)) for h in kept.pop(c - m)]
 
 
 def find_minimal_asymmetric(k: int, n: int) -> list[Hypergraph]:

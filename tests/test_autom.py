@@ -692,7 +692,7 @@ def test_engines_left_mid_walk_are_freed_by_reference_counting(monkeypatch):
         assert has_involution(cycle) == (0, 6, 5, 4, 3, 2, 1)
         assert len(built) == 2
         parent = Hypergraph(6, [(0, 1), (0, 4), (1, 2), (2, 3)])
-        assert search_mod._augmentation_accepts(parent, (1, 3), degrees(parent)) == (False, None)
+        assert search_mod._augmentation_accepts(parent, (1, 3), search_mod._scored(parent)) == (False, None)
         assert len(built) == 3  # rejected by edge colours, never queried
         assert sum(len(level) for _, level in classes_by_edge_count(7, 2)) == 1044
         engine = recorded(cycle.n, cycle.edges, False)

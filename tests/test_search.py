@@ -1,5 +1,6 @@
 """Labeled-space scans and class enumeration."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -340,6 +341,24 @@ def test_stabilizer_scan_matches_the_census(k, n):
         assert scanned == sum(1 for m in range(end) if m.bit_count() <= most), (k, n, half)
 
 
+def test_stabilizer_scan_builds_its_permutations_once_per_n(monkeypatch):
+    """`_first_rigid` builds the table of permutations of n points once
+    and reads it on every later scan on n points; (3,4) is a popcount
+    cell, which never reaches it."""
+    built = []
+
+    def recorded(points):
+        built.append(len(points))
+        return itertools.permutations(points)
+
+    monkeypatch.setattr(search_mod, "_POINTS", {})
+    monkeypatch.setattr(search_mod, "permutations", recorded)
+    for _ in range(2):
+        assert min_asymmetric_order(3, 7)[0] == 6
+        assert verify_lemma_all_symmetric(2, 7).scanned == 2391
+    assert built == [5, 6, 7]
+
+
 def test_labeled_scans_build_no_engine_and_no_full_space_array(monkeypatch):
     """The (2,7) and (5,7) census peaked at 9.5 MiB of `tracemalloc`:
     a scan that stops at its witness holds block-sized arrays only."""
@@ -381,6 +400,11 @@ def test_augmentation_pins_the_graphs_on_eight_vertices():
     assert sum(sizes) == 12346
     assert all(autom_mod._recorded_asymmetry(r) is not None for reps in levels for r in reps)
     assert sum(is_asymmetric(r) for reps in levels for r in reps) == 3696
+    # the representatives and verdicts in the format of `_census_outputs`
+    out = [(8, 2, m, [h.edges for h in reps], [is_asymmetric(h) for h in reps])
+           for m, reps in enumerate(levels)]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "f06c0fbdb5d15e7d8a5d80a46fc9bea36cebdebe6e56c9212415fc2c28bd9c9e"
 
 
 def test_augmentation_records_exact_asymmetry_verdicts():
@@ -407,7 +431,7 @@ def _accepted(h):
     accepted = []
     for e in h.edges:
         parent = Hypergraph(h.n, [f for f in h.edges if f != e], k=h.k)
-        if search_mod._augmentation_accepts(parent, e, degrees(parent))[0]:
+        if search_mod._augmentation_accepts(parent, e, search_mod._scored(parent))[0]:
             accepted.append(e)
     return accepted
 
@@ -473,6 +497,78 @@ def test_deletion_labels_only_the_children_that_tie(monkeypatch):
     assert sum(len(reps) for _, reps in classes_by_edge_count(6, 2)) == 156
     assert len(tests) == 232  # levels 0..7 only: levels 8..15 are complements
     assert 2 * len(labellings) < len(tests)
+
+
+def _labelled_rule(parent, added, canonical):
+    """None when endpoint degrees or refined edge colours settle the
+    child parent + added, else the deletion test's step 3 with the
+    labelling always run: an unseeded canonical labelling on a fresh
+    engine, then whether its pick lies in the orbit of `added`."""
+    edges = parent.edges + (added,)
+    deg = degrees(Hypergraph(parent.n, edges, k=parent.k))
+    kept = range(len(edges))
+    for score in ([sorted(deg[v] for v in e) for e in edges], None):
+        if score is None:
+            engine = autom_mod._Engine(parent.n, edges, False)
+            score = engine.base[1]
+        top = max(score[i] for i in kept)
+        kept = [i for i in kept if score[i] == top]
+        if kept[-1] != len(edges) - 1 or len(kept) == 1:
+            return None
+    _, sigma = canonical(engine)
+    deletion = max((edges[i] for i in kept), key=lambda e: sorted(sigma[v] for v in e))
+    return deletion in search_mod._edge_orbit(added, engine.generators())
+
+
+def test_orbit_shortcut_matches_the_labelled_rule(monkeypatch):
+    """Step 3 labels a child only when its kept edges span several
+    orbits of its group; on every child that reaches step 3 the decision
+    equals that of the rule that always labels.  The counts are pinned:
+    of the 46, 223 and 402 children at step 3 on (2,6), (2,7) and (3,6),
+    which the rule that always labels labelled, 0, 10 and 64 are labelled."""
+    accepts, canonical = search_mod._augmentation_accepts, autom_mod._Engine.canonical
+    reached, labellings = [], []
+
+    def checked(parent, added, scored):
+        got = accepts(parent, added, scored)
+        want = _labelled_rule(parent, added, canonical)
+        if want is not None:
+            reached.append(got[0])
+            assert got[0] is want, (parent, added)
+        return got
+
+    def counted(self):
+        labellings.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(search_mod, "_augmentation_accepts", checked)
+    monkeypatch.setattr(autom_mod._Engine, "canonical", counted)
+    counts = {}
+    for k, n in ((2, 5), (2, 6), (2, 7), (3, 5), (3, 6)):
+        reached.clear()
+        labellings.clear()
+        assert sum(len(reps) for _, reps in classes_by_edge_count(n, k)) == len(enumerate_k_graphs(k, n))
+        counts[k, n] = len(reached), reached.count(False), len(labellings)
+    # (children reaching step 3, of them rejected, labellings run)
+    assert counts == {(2, 5): (13, 0, 0), (2, 6): (46, 0, 0), (2, 7): (223, 5, 10),
+                      (3, 5): (14, 0, 0), (3, 6): (402, 39, 64)}, counts
+
+
+def test_census_classes_equal_checked_hypergraphs():
+    """Grown and complemented classes, and the least-mask classes of the
+    labeled census, are built without `Hypergraph.__init__`'s checks;
+    each equals, field for field, the hypergraph `__init__` builds from
+    its fields."""
+    runs = [classes_by_edge_count(7, 2), classes_by_edge_count(6, 3)]
+    runs += [classes_by_edge_count(6, 2, cut) for cut in (0, 5, 7)]
+    classes = [h for run in runs for _, reps in run for h in reps]
+    classes += enumerate_k_graphs(3, 5) + list(scan_classes(2, 6).witnesses)
+    names = [f.name for f in dataclasses.fields(Hypergraph)]
+    for h in classes:
+        fresh = Hypergraph(h.n, h.edges, k=h.k)
+        assert [getattr(h, f) for f in names] == [getattr(fresh, f) for f in names], h
+        assert type(h.edges) is tuple and all(type(e) is tuple for e in h.edges), h
+        assert hash(h) == hash(fresh) and repr(h) == repr(fresh), h
 
 
 def test_augmentation_builds_no_parent_engine_twice(monkeypatch):
